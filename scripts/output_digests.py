@@ -1,0 +1,96 @@
+#!/usr/bin/env python3
+"""Print one sha256 of the predictions and scores of every benchmark run.
+
+Runs every `stamp-tta ablate` arm (cli.ablation_arms) and every arm of
+benchmark.run_protocol on the benchmark stream seeds, against one shared
+pretrained checkpoint, and prints one line per run:
+
+    <arm> seed=<s> <sha256 of the int64 predictions, then the float64 scores>
+
+followed by one `all` line that hashes every line above it. Two versions of
+the code whose outputs are byte-identical print identical text, so a `diff`
+of their outputs is the check.
+
+Usage:
+    python3 scripts/output_digests.py [--config configs/benchmark.json]
+"""
+
+import argparse
+import dataclasses
+import hashlib
+import os
+import sys
+
+import numpy as np
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+
+from stamp_tta import benchmark, cli, engine
+
+
+def digest(records):
+    preds = np.array([r.pred for r in records], dtype=np.int64)
+    scores = np.array([r.ood_score for r in records], dtype=np.float64)
+    return hashlib.sha256(preds.tobytes() + scores.tobytes()).hexdigest()
+
+
+def ablation_digests(cfg, model, seeds):
+    for name, overrides in cli.ablation_arms(cfg):
+        method = dataclasses.replace(cfg.method, **overrides)
+        for seed in seeds:
+            run_cfg = dataclasses.replace(cfg, method=method, seed=seed)
+            records, _ = engine.run_experiment(run_cfg, model=model)
+            yield f"ablate/{name}", seed, digest(records)
+
+
+def protocol_arm_names():
+    """Arm labels in the order run_protocol runs them."""
+    return (
+        [f"protocol/methods/{m}" for m in benchmark.METHOD_ARMS]
+        + [f"protocol/removals/{r}" for r in benchmark.REMOVAL_ARMS]
+        + ["protocol/ratios/%.2f" % r for r in benchmark.RATIO_GRID]
+    )
+
+
+def protocol_digests(cfg, model, seeds):
+    """Digest every run of the real protocol by wrapping engine.run_experiment."""
+    runs = []
+    run_experiment = engine.run_experiment
+
+    def recording(run_cfg, model=None):
+        records, summary = run_experiment(run_cfg, model=model)
+        runs.append((run_cfg.seed, digest(records)))
+        return records, summary
+
+    engine.run_experiment = recording
+    try:
+        benchmark.run_protocol(cfg, model=model, seeds=seeds)
+    finally:
+        engine.run_experiment = run_experiment
+    names = [name for name in protocol_arm_names() for _ in seeds]
+    if len(names) != len(runs):
+        raise SystemExit(f"expected {len(names)} protocol runs, saw {len(runs)}")
+    for name, (seed, sha) in zip(names, runs):
+        yield name, seed, sha
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--config", default=benchmark.DEFAULT_CONFIG_PATH)
+    args = parser.parse_args(argv)
+
+    cfg = benchmark.load_benchmark_config(args.config)
+    model, _ = engine.pretrain_source(cfg)
+    seeds = benchmark.STREAM_SEEDS
+    whole = hashlib.sha256()
+    for gen in (ablation_digests, protocol_digests):
+        for name, seed, sha in gen(cfg, model, seeds):
+            line = f"{name} seed={seed} {sha}"
+            print(line, flush=True)
+            whole.update((line + "\n").encode())
+    print(f"all {whole.hexdigest()}")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -123,30 +123,41 @@ def corrupt(x, severity, seed, components=None):
 
 
 def augment_views(x, num_views, strength, seed, sample_id):
-    """num_views randomized views of one sample for prediction averaging.
+    """num_views randomized views of each sample for prediction averaging.
 
     Each view rotates by an angle uniform in +-(strength * 10 degrees) and
-    adds isotropic Gaussian noise with sigma strength * 0.05. Deterministic
-    per (seed, sample_id); strength 0 short-circuits to exact copies.
+    adds isotropic Gaussian noise with sigma strength * 0.05. x is one
+    feature vector, giving a (num_views, d) result, or a (b, d) batch whose
+    row i is sample sample_id + i, giving the (b * num_views, d) stack with
+    each sample's views contiguous. Every sample draws from its own
+    generator seeded by (seed, sample_id), so a row's views do not depend on
+    the batch it arrives in; strength 0 short-circuits to exact copies.
     """
     if num_views < 1:
         raise ConfigError("num_views must be >= 1")
     v = np.asarray(x, dtype=np.float64)
-    if v.ndim != 1:
-        raise ValueError("augment_views expects a single feature vector")
+    if v.ndim not in (1, 2):
+        raise ValueError("augment_views expects a feature vector or a (b, d) batch")
+    rows = np.atleast_2d(v)
+    b, d = rows.shape
     if strength == 0:
-        return np.tile(v, (num_views, 1))
-    if v.shape[0] < 2:
+        return np.repeat(rows, num_views, axis=0)
+    if d < 2:
         raise ConfigError("rotation needs input_dim >= 2")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_AUG, sample_id)))
     half = math.radians(strength * AUG_DEG_PER_STRENGTH)
-    angles = rng.uniform(-half, half, size=num_views)
-    noise = rng.normal(0.0, strength * AUG_SIGMA_PER_STRENGTH, size=(num_views, v.shape[0]))
-    out = np.tile(v, (num_views, 1))
-    c, s = np.cos(angles), np.sin(angles)
-    out[:, 0] = c * v[0] - s * v[1]
-    out[:, 1] = s * v[0] + c * v[1]
-    return out + noise
+    sigma = strength * AUG_SIGMA_PER_STRENGTH
+    angles = np.empty((b, num_views))
+    noise = np.empty((b, num_views, d))
+    for i in range(b):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_AUG, sample_id + i)))
+        angles[i] = rng.uniform(-half, half, size=num_views)
+        noise[i] = rng.normal(0.0, sigma, size=(num_views, d))
+    out = np.repeat(rows, num_views, axis=0)
+    x0, x1 = out[:, 0].copy(), out[:, 1].copy()
+    c, s = np.cos(angles.ravel()), np.sin(angles.ravel())
+    out[:, 0] = c * x0 - s * x1
+    out[:, 1] = s * x0 + c * x1
+    return out + noise.reshape(b * num_views, d)
 
 
 @dataclass

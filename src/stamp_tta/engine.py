@@ -101,7 +101,7 @@ def build_state(model, cfg: ExperimentConfig):
     strategy = _STRATEGY_BY_NAME[m.weight_strategy] if m.weight_strategy else None
     bank = None
     if m.name == "stamp" and m.use_memory:
-        bank = membank.MemoryBank(m.capacity, cfg.data.num_classes)
+        bank = membank.MemoryBank(m.capacity, cfg.data.num_classes, cfg.data.input_dim)
     return AdaptState(
         model=diffnet.snapshot_source(model),
         source=diffnet.snapshot_source(model),
@@ -133,14 +133,9 @@ def averaged_prediction(model, inputs, views, strength, seed, first_sample_id, e
     if not enabled or strength == 0:
         probs = diffnet.forward(model, x, ForwardMode.SOURCE_STATS)
     else:
-        b, d = x.shape
-        stack = np.empty((b * views, d))
-        for i in range(b):
-            stack[i * views : (i + 1) * views] = datagen.augment_views(
-                x[i], views, strength, seed, first_sample_id + i
-            )
+        stack = datagen.augment_views(x, views, strength, seed, first_sample_id)
         flat = diffnet.forward(model, stack, ForwardMode.SOURCE_STATS)
-        probs = flat.reshape(b, views, -1).mean(axis=1)
+        probs = flat.reshape(x.shape[0], views, -1).mean(axis=1)
     preds = np.argmax(probs, axis=1)  # ties break to the lowest index
     return probs, preds
 
@@ -212,13 +207,12 @@ def stamp_step(state, inputs):
     if state.toggles.use_memory and state.bank is not None:
         if state.toggles.use_filtering:
             source_probs = diffnet.forward(state.source, x, ForwardMode.SOURCE_STATS)
-            for i in range(x.shape[0]):
-                verdict = membank.filter_masks(probs[i], source_probs[i], state.h_thr)
-                if verdict.admitted:
-                    state.bank.insert(x[i], preds[i], verdict)
+            verdict = membank.filter_masks(probs, source_probs, state.h_thr)
+            admitted = np.flatnonzero(verdict.admitted)
         else:
-            for i in range(x.shape[0]):
-                state.bank.insert(x[i], preds[i])
+            admitted = range(x.shape[0])
+        for i in admitted:
+            state.bank.insert(x[i], preds[i])
         replay, _ = state.bank.contents()
         if replay.shape[0] >= 2:
             _apply_update(state, replay)

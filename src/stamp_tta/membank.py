@@ -10,6 +10,7 @@ source model (consistency) and an entropy ceiling (confidence).
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +21,10 @@ from .errors import ConfigError, ParseError
 
 @dataclass
 class FilterVerdict:
-    """Outcome of the two admission filters for one sample."""
+    """Outcome of the two admission filters for one sample, or a batch of them.
+
+    For a batch the fields are per-row arrays and admitted is a boolean mask.
+    """
 
     consistent: bool
     confident: bool
@@ -28,29 +32,29 @@ class FilterVerdict:
 
     @property
     def admitted(self):
-        return self.consistent and self.confident
+        return self.consistent & self.confident
 
 
 def filter_masks(avg_probs, source_probs, h_thr):
-    """Evaluate the admission filters for one sample.
+    """Evaluate the admission filters for one sample or for each row of a batch.
 
     avg_probs is the augmentation-averaged prediction, source_probs the
     frozen source model's prediction on the raw sample. Consistency requires
     equal argmax (ties broken by lowest index on both sides); confidence
-    requires entropy(avg_probs) strictly below h_thr.
+    requires entropy(avg_probs) strictly below h_thr. Vectors give a scalar
+    verdict, (n, C) matrices a verdict of length-n arrays.
     """
     p = np.asarray(avg_probs, dtype=np.float64)
     q = np.asarray(source_probs, dtype=np.float64)
-    if p.shape != q.shape or p.ndim != 1:
-        raise ValueError("avg_probs and source_probs must be equal-length vectors")
+    if p.shape != q.shape or p.ndim not in (1, 2):
+        raise ValueError("avg_probs and source_probs must be equal-shape vectors or matrices")
     if h_thr <= 0:
         raise ConfigError("h_thr must be positive")
-    h = float(losses.entropy(p))
-    return FilterVerdict(
-        consistent=int(np.argmax(p)) == int(np.argmax(q)),
-        confident=h < h_thr,
-        entropy=h,
-    )
+    h = losses.entropy(p)
+    consistent = np.argmax(p, axis=-1) == np.argmax(q, axis=-1)
+    if p.ndim == 1:
+        return FilterVerdict(bool(consistent), bool(h < h_thr), float(h))
+    return FilterVerdict(consistent=consistent, confident=h < h_thr, entropy=h)
 
 
 @dataclass
@@ -61,28 +65,39 @@ class MemoryEntry:
 
 
 class MemoryBank:
-    """Capacity-bounded replay store; see module docstring for the policy."""
+    """Capacity-bounded replay store; see module docstring for the policy.
 
-    def __init__(self, capacity, num_classes):
+    Rows live in fixed-capacity arrays in slot order: an evicted row's slot
+    takes the next insert. Each row carries its insertion tick, and
+    contents() returns the rows in tick order, the order replay sums over.
+    Each class keeps a queue of its slots, oldest first, so its length is
+    the class count and its head is the class's eviction victim.
+    """
+
+    def __init__(self, capacity, num_classes, input_dim):
         if capacity < 1:
             raise ConfigError("capacity must be >= 1")
         if num_classes < 2:
             raise ConfigError("num_classes must be >= 2")
+        if input_dim < 1:
+            raise ConfigError("input_dim must be >= 1")
         self.capacity = int(capacity)
         self.num_classes = int(num_classes)
-        self.entries: list[MemoryEntry] = []  # kept in tick (insertion) order
+        self.input_dim = int(input_dim)
+        self._features = np.empty((self.capacity, self.input_dim))
+        self._labels = np.empty(self.capacity, dtype=np.int64)
+        self._ticks = np.empty(self.capacity, dtype=np.int64)
+        self._slots = [deque() for _ in range(self.num_classes)]
+        self._size = 0
         self.class_frequency = np.zeros(self.num_classes)  # smoothed, updated per batch
         self._tick = 0
 
     def __len__(self):
-        return len(self.entries)
+        return self._size
 
     def class_counts(self):
         """Raw per-class counts of the stored entries."""
-        counts = np.zeros(self.num_classes, dtype=np.int64)
-        for e in self.entries:
-            counts[e.label] += 1
-        return counts
+        return np.array([len(q) for q in self._slots], dtype=np.int64)
 
     def insert(self, features, label, verdict=None):
         """Store one admitted sample; returns the evicted entry or None.
@@ -96,21 +111,27 @@ class MemoryBank:
             raise ValueError("label out of range")
         if verdict is not None and not verdict.admitted:
             raise ValueError("insert called with a rejected sample")
+        row = np.asarray(features, dtype=np.float64)
+        if row.shape != (self.input_dim,):
+            raise ValueError(f"features must be a vector of length {self.input_dim}")
         evicted = None
-        if len(self.entries) >= self.capacity:
-            present = np.unique([e.label for e in self.entries])
-            victim_class = int(present[np.argmax(self.class_frequency[present])])
-            for i, e in enumerate(self.entries):  # entries are tick-ordered
-                if e.label == victim_class:
-                    evicted = self.entries.pop(i)
-                    break
-        self.entries.append(
-            MemoryEntry(
-                features=np.asarray(features, dtype=np.float64).copy(),
-                label=label,
-                tick=self._tick,
+        if self._size < self.capacity:
+            slot = self._size
+            self._size += 1
+        else:
+            freq = self.class_frequency.tolist()
+            present = (c for c, q in enumerate(self._slots) if q)
+            victim_class = max(present, key=freq.__getitem__)  # first max: lowest index
+            slot = self._slots[victim_class].popleft()
+            evicted = MemoryEntry(
+                features=self._features[slot].copy(),
+                label=victim_class,
+                tick=int(self._ticks[slot]),
             )
-        )
+        self._features[slot] = row
+        self._labels[slot] = label
+        self._ticks[slot] = self._tick
+        self._slots[label].append(slot)
         self._tick += 1
         return evicted
 
@@ -121,19 +142,13 @@ class MemoryBank:
         """
         if not 0 < beta <= 1:
             raise ConfigError("beta must lie in (0, 1]")
-        self.class_frequency = (
-            1.0 - beta
-        ) * self.class_frequency + beta * self.class_counts()
+        self.class_frequency = (1.0 - beta) * self.class_frequency + beta * self.class_counts()
         return self.class_frequency.copy()
 
     def contents(self):
         """Copies of the stored features and labels, in insertion order."""
-        if not self.entries:
-            d = 0
-            return np.empty((0, d)), np.empty(0, dtype=np.int64)
-        feats = np.stack([e.features for e in self.entries]).copy()
-        labels = np.asarray([e.label for e in self.entries], dtype=np.int64)
-        return feats, labels
+        order = np.argsort(self._ticks[: self._size])
+        return self._features[order], self._labels[order]
 
     def dump(self, path):
         """Write the bank in the dataset text format plus a frequency sidecar.
@@ -144,8 +159,6 @@ class MemoryBank:
         from . import datagen
 
         feats, labels = self.contents()
-        if len(self.entries) == 0:
-            feats = np.empty((0, 2))
         datagen.write_dataset(path, feats, labels, np.zeros(len(labels), dtype=bool))
         with open(path, "a") as fh:
             freq = ",".join("%.17g" % v for v in self.class_frequency)
@@ -164,7 +177,7 @@ class MemoryBank:
             for line in fh:
                 if line.startswith("# class_frequency,"):
                     sidecar = line.strip().split(",")
-        bank = cls(capacity, num_classes)
+        bank = cls(capacity, num_classes, feats.shape[1])
         if len(labels) > capacity:
             raise ParseError("dump holds more entries than the requested capacity")
         for x, y in zip(feats, labels):

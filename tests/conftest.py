@@ -1,13 +1,16 @@
 """Shared test oracles: finite differences, pairwise AUC, reference replay bank.
 
 These are deliberately independent code paths from the library: the FD
-helpers only ever call forward passes, the AUC oracle counts pairs, and the
-reference bank replays the eviction policy with plain list scans.
+helpers only ever call forward passes, the AUC oracle counts pairs, the
+reference views draw and rotate one sample at a time, and the reference bank
+replays the eviction policy with plain list scans.
 """
+
+import math
 
 import numpy as np
 
-from stamp_tta import diffnet
+from stamp_tta import datagen, diffnet
 from stamp_tta.diffnet import ForwardMode
 
 
@@ -78,6 +81,23 @@ def joint_rel_err(analytic, reference):
     else:
         a, b = np.ravel(analytic), np.ravel(reference)
     return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-300))
+
+
+def reference_augment_views(v, num_views, strength, seed, sample_id):
+    """Views of one sample, drawn and rotated one sample at a time."""
+    if strength == 0:
+        return np.tile(v, (num_views, 1))
+    seq = np.random.SeedSequence((seed, datagen._TAG_AUG, sample_id))
+    rng = np.random.default_rng(seq)
+    half = math.radians(strength * datagen.AUG_DEG_PER_STRENGTH)
+    angles = rng.uniform(-half, half, size=num_views)
+    sigma = strength * datagen.AUG_SIGMA_PER_STRENGTH
+    noise = rng.normal(0.0, sigma, size=(num_views, v.shape[0]))
+    out = np.tile(v, (num_views, 1))
+    c, s = np.cos(angles), np.sin(angles)
+    out[:, 0] = c * v[0] - s * v[1]
+    out[:, 1] = s * v[0] + c * v[1]
+    return out + noise
 
 
 def brute_force_auc(scores, outlier):

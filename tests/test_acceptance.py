@@ -195,7 +195,7 @@ def test_criterion_04_memory_invariants():
         rng = np.random.default_rng(1000 + seed)
         capacity = int(rng.integers(2, 9))
         num_classes = int(rng.integers(2, 6))
-        bank = membank.MemoryBank(capacity, num_classes)
+        bank = membank.MemoryBank(capacity, num_classes, 2)
         ref = ReferenceBank(capacity, num_classes)
         for _ in range(200):
             ops += 1

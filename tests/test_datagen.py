@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import reference_augment_views
 from stamp_tta import datagen
 from stamp_tta.datagen import CorruptionConfig, StreamConfig
 from stamp_tta.errors import ConfigError, ParseError
@@ -156,6 +157,19 @@ class TestAugmentViews:
         b = math.radians(10.0)
         expect = np.array([4.0 * math.sin(b) / b, 0.0])
         assert np.allclose(views.mean(axis=0), expect, atol=0.02)
+
+    @pytest.mark.parametrize("batch", [1, 5])
+    @pytest.mark.parametrize("input_dim", [2, 3])
+    @pytest.mark.parametrize("strength", [0.0, 1.0])
+    def test_batch_rows_equal_per_sample_calls(self, batch, input_dim, strength):
+        x = np.random.default_rng(batch + input_dim).normal(size=(batch, input_dim)) * 3
+        stack = datagen.augment_views(x, 6, strength, seed=3, sample_id=17)
+        assert stack.shape == (batch * 6, input_dim)
+        for i in range(batch):
+            one = datagen.augment_views(x[i], 6, strength, seed=3, sample_id=17 + i)
+            assert np.array_equal(stack[i * 6 : (i + 1) * 6], one)
+            ref = reference_augment_views(x[i], 6, strength, seed=3, sample_id=17 + i)
+            assert np.array_equal(one, ref)
 
     def test_view_count_validation(self):
         with pytest.raises(ConfigError):

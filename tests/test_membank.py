@@ -51,23 +51,43 @@ class TestFilterMasks:
         with pytest.raises(ConfigError):
             filter_masks(vec(0.5, 0.5), vec(0.5, 0.5), h_thr=0.0)
 
+    @pytest.mark.parametrize("num_classes", [2, 4])
+    def test_batch_masks_match_per_row_verdicts(self, num_classes):
+        rng = np.random.default_rng(num_classes)
+        p = rng.dirichlet(np.ones(num_classes), size=200)
+        q = rng.dirichlet(np.ones(num_classes), size=200)
+        p[:40] = np.round(p[:40], 1) + 1e-12  # coarse rows with argmax ties
+        p[:40] /= p[:40].sum(axis=1, keepdims=True)
+        q[40:60] = p[40:60, ::-1]
+        p[60] = q[60] = np.full(num_classes, 1.0 / num_classes)
+        h_thr = math.log(num_classes)
+        batch = filter_masks(p, q, h_thr)
+        rows = [filter_masks(p[i], q[i], h_thr) for i in range(len(p))]
+        assert batch.consistent.tolist() == [v.consistent for v in rows]
+        assert batch.confident.tolist() == [v.confident for v in rows]
+        assert batch.admitted.tolist() == [v.admitted for v in rows]
+        assert np.array_equal(batch.entropy, [v.entropy for v in rows])
+        assert batch.consistent[60] and not batch.confident[60]  # strict at ln C
+        assert batch.consistent.any() and not batch.consistent.all()
+        assert batch.confident.any()
+
 
 class TestInsertEvict:
     def test_grows_until_capacity(self):
-        bank = MemoryBank(3, num_classes=2)
+        bank = MemoryBank(3, num_classes=2, input_dim=2)
         for i in range(3):
             assert bank.insert(vec(i, 0), 0) is None
         assert len(bank) == 3
 
     def test_never_exceeds_capacity(self):
-        bank = MemoryBank(4, num_classes=3)
+        bank = MemoryBank(4, num_classes=3, input_dim=2)
         for i in range(20):
             bank.insert(vec(i, 0), i % 3)
             bank.update_class_frequency(0.1)
             assert len(bank) <= 4
 
     def test_evicts_oldest_of_highest_frequency_class(self):
-        bank = MemoryBank(3, num_classes=2)
+        bank = MemoryBank(3, num_classes=2, input_dim=2)
         bank.insert(vec(0, 0), 0)
         bank.insert(vec(1, 0), 0)
         bank.insert(vec(2, 0), 1)
@@ -80,7 +100,7 @@ class TestInsertEvict:
         assert list(labels) == [0, 1, 1]
 
     def test_eviction_restricted_to_present_classes(self):
-        bank = MemoryBank(2, num_classes=3)
+        bank = MemoryBank(2, num_classes=3, input_dim=2)
         bank.insert(vec(0, 0), 1)
         bank.insert(vec(1, 0), 2)
         # class 0 has the max frequency but is absent; next is class 2
@@ -89,7 +109,7 @@ class TestInsertEvict:
         assert evicted.label == 2
 
     def test_frequency_ties_break_low_class_index(self):
-        bank = MemoryBank(2, num_classes=3)
+        bank = MemoryBank(2, num_classes=3, input_dim=2)
         bank.insert(vec(0, 0), 2)
         bank.insert(vec(1, 0), 1)
         bank.class_frequency = np.array([0.0, 3.0, 3.0])
@@ -97,32 +117,39 @@ class TestInsertEvict:
         assert evicted.label == 1
 
     def test_insert_requires_admitted_verdict(self):
-        bank = MemoryBank(2, num_classes=2)
+        bank = MemoryBank(2, num_classes=2, input_dim=2)
         rejected = membank.FilterVerdict(consistent=False, confident=True, entropy=0.1)
         with pytest.raises(ValueError):
             bank.insert(vec(0, 0), 0, rejected)
 
     def test_label_range_checked(self):
-        bank = MemoryBank(2, num_classes=2)
+        bank = MemoryBank(2, num_classes=2, input_dim=2)
         with pytest.raises(ValueError):
             bank.insert(vec(0, 0), 2)
         with pytest.raises(ValueError):
             bank.insert(vec(0, 0), -1)
 
+    def test_feature_width_checked(self):
+        bank = MemoryBank(2, num_classes=2, input_dim=3)
+        with pytest.raises(ValueError):
+            bank.insert(vec(0, 0), 0)
+        with pytest.raises(ConfigError):
+            MemoryBank(2, num_classes=2, input_dim=0)
+
     def test_contents_are_copies_in_insertion_order(self):
-        bank = MemoryBank(3, num_classes=2)
+        bank = MemoryBank(3, num_classes=2, input_dim=2)
         bank.insert(vec(1, 1), 0)
         bank.insert(vec(2, 2), 1)
         feats, labels = bank.contents()
         assert np.array_equal(feats, [[1, 1], [2, 2]])
         assert list(labels) == [0, 1]
         feats[0, 0] = 99.0
-        assert bank.entries[0].features[0] == 1.0
+        assert bank.contents()[0][0, 0] == 1.0
 
 
 class TestFrequencyUpdate:
     def test_exponential_update_formula(self):
-        bank = MemoryBank(4, num_classes=3)
+        bank = MemoryBank(4, num_classes=3, input_dim=2)
         bank.insert(vec(0, 0), 0)
         bank.insert(vec(1, 0), 0)
         bank.insert(vec(2, 0), 2)
@@ -132,7 +159,7 @@ class TestFrequencyUpdate:
         assert np.allclose(out, [0.9 * 0.2 + 0.2, 0.0, 0.9 * 0.1 + 0.1], atol=1e-15)
 
     def test_beta_validated(self):
-        bank = MemoryBank(2, num_classes=2)
+        bank = MemoryBank(2, num_classes=2, input_dim=2)
         with pytest.raises(ConfigError):
             bank.update_class_frequency(0.0)
         with pytest.raises(ConfigError):
@@ -141,7 +168,7 @@ class TestFrequencyUpdate:
 
 class TestDumpLoad:
     def test_round_trip(self, tmp_path):
-        bank = MemoryBank(4, num_classes=3)
+        bank = MemoryBank(4, num_classes=3, input_dim=2)
         rng = np.random.default_rng(0)
         for i in range(7):
             bank.insert(rng.normal(size=2), int(rng.integers(0, 3)))
@@ -158,7 +185,7 @@ class TestDumpLoad:
     def test_dump_is_valid_dataset(self, tmp_path):
         from stamp_tta import datagen
 
-        bank = MemoryBank(3, num_classes=2)
+        bank = MemoryBank(3, num_classes=2, input_dim=2)
         bank.insert(vec(1.5, -2.5), 1)
         path = tmp_path / "bank.csv"
         bank.dump(path)
@@ -167,8 +194,18 @@ class TestDumpLoad:
         assert list(y) == [1]
         assert not flags.any()
 
+    def test_empty_bank_round_trip_keeps_feature_width(self, tmp_path):
+        bank = MemoryBank(4, num_classes=3, input_dim=3)
+        path = tmp_path / "bank.csv"
+        bank.dump(path)
+        assert path.read_text().splitlines()[0] == "x0,x1,x2,label,outlier"
+        loaded = MemoryBank.load(path, capacity=4, num_classes=3)
+        assert len(loaded) == 0
+        feats, labels = loaded.contents()
+        assert feats.shape == (0, 3) and labels.shape == (0,)
+
     def test_load_rejects_oversized_dump(self, tmp_path):
-        bank = MemoryBank(5, num_classes=2)
+        bank = MemoryBank(5, num_classes=2, input_dim=2)
         for i in range(5):
             bank.insert(vec(i, 0), 0)
         path = tmp_path / "bank.csv"
@@ -183,15 +220,16 @@ class TestDumpLoad:
     capacity=st.integers(1, 8),
     num_classes=st.integers(2, 5),
     n_ops=st.integers(1, 120),
+    input_dim=st.integers(2, 5),
 )
-def test_matches_reference_policy(seed, capacity, num_classes, n_ops):
+def test_matches_reference_policy(seed, capacity, num_classes, n_ops, input_dim):
     """Random op sequences agree with the independent reference replay."""
     rng = np.random.default_rng(seed)
-    bank = MemoryBank(capacity, num_classes)
+    bank = MemoryBank(capacity, num_classes, input_dim)
     ref = ReferenceBank(capacity, num_classes)
     for _ in range(n_ops):
         if rng.random() < 0.8:
-            x = rng.normal(size=2)
+            x = rng.normal(size=input_dim)
             y = int(rng.integers(0, num_classes))
             bank.insert(x, y)
             ref.insert(x, y)
