@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 of the predictions and scores of every benchmark run.
 
-Runs every `stamp-tta ablate` arm (cli.ablation_arms) and every arm of
+Runs every `stamp-tta ablate` arm (benchmark.ABLATION_ARMS) and every arm of
 benchmark.run_protocol on the benchmark stream seeds, against one shared
 pretrained checkpoint, and prints one line per run:
 
@@ -25,22 +25,23 @@ import numpy as np
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
-from stamp_tta import benchmark, cli, engine
+from stamp_tta import benchmark, engine
 
 
-def digest(records):
-    preds = np.array([r.pred for r in records], dtype=np.int64)
-    scores = np.array([r.ood_score for r in records], dtype=np.float64)
+def digest(outputs):
+    preds, scores = outputs
+    preds = np.asarray(preds, dtype=np.int64)
+    scores = np.asarray(scores, dtype=np.float64)
     return hashlib.sha256(preds.tobytes() + scores.tobytes()).hexdigest()
 
 
 def ablation_digests(cfg, model, seeds):
-    for name, overrides in cli.ablation_arms(cfg):
+    for name, overrides in benchmark.ABLATION_ARMS.items():
         method = dataclasses.replace(cfg.method, **overrides)
         for seed in seeds:
             run_cfg = dataclasses.replace(cfg, method=method, seed=seed)
-            records, _ = engine.run_experiment(run_cfg, model=model)
-            yield f"ablate/{name}", seed, digest(records)
+            outputs, _ = engine.run_experiment(run_cfg, model=model)
+            yield f"ablate/{name}", seed, digest(outputs)
 
 
 def protocol_arm_names():
@@ -58,9 +59,9 @@ def protocol_digests(cfg, model, seeds):
     run_experiment = engine.run_experiment
 
     def recording(run_cfg, model=None):
-        records, summary = run_experiment(run_cfg, model=model)
-        runs.append((run_cfg.seed, digest(records)))
-        return records, summary
+        outputs, summary = run_experiment(run_cfg, model=model)
+        runs.append((run_cfg.seed, digest(outputs)))
+        return outputs, summary
 
     engine.run_experiment = recording
     try:

@@ -21,8 +21,6 @@ from .datagen import CorruptionConfig, StreamConfig, augment_views, corrupt, gen
 from .diffnet import ForwardMode, forward, grad, init_model, load_model, pretrain, save_model
 from .engine import (
     AdaptState,
-    EvalRecord,
-    Toggles,
     averaged_prediction,
     build_state,
     detect,

@@ -1,5 +1,10 @@
 """Committed benchmark protocol: method comparison, ablations, ratio sweep.
 
+This module is the one registry of experiment arms: the protocol, the
+`stamp-tta ablate` and `sweep-ratio` commands, the scripts and the tests
+all read the tables below. An ablation arm is a name mapped to MethodConfig
+overrides applied on top of the configured method section.
+
 One pretrained checkpoint is shared by every arm. Baselines run at library
 defaults (only the method name differs); the tuned method section of the
 benchmark config applies to the stamp arm and its ablation variants. Every
@@ -16,7 +21,7 @@ import os
 import numpy as np
 
 from . import engine
-from .config import ExperimentConfig, MethodConfig, config_from_dict
+from .config import MethodConfig, config_from_dict
 
 METHOD_ARMS = ("source", "bn_stats", "tent", "stamp")
 STREAM_SEEDS = (0, 1, 2, 3, 4)
@@ -28,6 +33,37 @@ REMOVAL_ARMS = {
     "static": {"weight_strategy": "static"},
     "sgd": {"use_sam": False},
     "no_decay": {"use_decay": False},
+}
+
+# Toggle grid rows (use_sam, use_decay, use_memory, self-weighting); memory
+# off also disables the admission filters so the loss falls back to the raw
+# batch, and self-weighting off means plain entropy. The last row is the
+# full method.
+_TOGGLE_GRID = (
+    (0, 0, 0, 0),
+    (0, 1, 0, 0),
+    (1, 0, 0, 0),
+    (1, 1, 0, 0),
+    (1, 1, 0, 1),
+    (1, 1, 1, 0),
+    (1, 1, 1, 1),
+)
+
+# the arms of `stamp-tta ablate`, in table order
+ABLATION_ARMS = {
+    **{
+        f"grid_sa{sa}_ds{ds}_rbm{rbm}_sw{sw}": {
+            "use_sam": bool(sa),
+            "use_decay": bool(ds),
+            "use_memory": bool(rbm),
+            "use_filtering": bool(rbm),
+            "weight_strategy": "self" if sw else "plain",
+        }
+        for sa, ds, rbm, sw in _TOGGLE_GRID
+    },
+    **{f"weight_{ws}": {"weight_strategy": ws} for ws in ("self", "static", "eata")},
+    "aug_on": {"use_augmentation": True},
+    "aug_off": {"use_augmentation": False},
 }
 
 _HERE = os.path.dirname(os.path.dirname(os.path.dirname(os.path.abspath(__file__))))

@@ -2,10 +2,12 @@
 
 Configuration comes from an optional JSON file plus dotted overrides such as
 --method.rho=0.1 (overrides win). Outputs are written under the --out
-directory: summary.json (sorted keys), records.csv in the dataset format
-extended with pred and ood_score columns, roc.csv, and for the grid commands
-one summary per arm plus a combined comparison table. Repeat invocations
-with the same inputs produce byte-identical files.
+directory: summary.json (sorted keys), records.csv (features, label and
+outlier flag per stream sample, extended with pred and ood_score columns),
+roc.csv, and for the grid commands one summary per arm plus a combined
+comparison table. The grid commands run the arms that benchmark.py
+registers: ABLATION_ARMS for ablate and RATIO_GRID for sweep-ratio. Repeat
+invocations with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
@@ -17,26 +19,11 @@ import os
 import re
 import sys
 
-import numpy as np
 
 from . import config as config_mod
-from . import datagen, diffnet, engine, metrics
+from . import diffnet, engine, metrics
+from .benchmark import ABLATION_ARMS, RATIO_GRID
 from .errors import ConfigError, NumericalError, ParseError
-
-RATIO_GRID = (0.05, 0.10, 0.20, 0.33, 0.50)
-
-# Toggle grid rows (use_sam, use_decay, use_memory, use_self_weight); memory
-# off also disables the admission filters so the loss falls back to the raw
-# batch. The last row is the full method.
-ABLATION_GRID = [
-    (0, 0, 0, 0),
-    (0, 1, 0, 0),
-    (1, 0, 0, 0),
-    (1, 1, 0, 0),
-    (1, 1, 0, 1),
-    (1, 1, 1, 0),
-    (1, 1, 1, 1),
-]
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?=.*)$")
 
@@ -75,35 +62,27 @@ def _build_config(args, extras):
     return cfg
 
 
-def _records_arrays(records):
-    preds = np.asarray([r.pred for r in records], dtype=np.int64)
-    scores = np.asarray([r.ood_score for r in records])
-    labels = np.asarray([r.label for r in records], dtype=np.int64)
-    outlier = np.asarray([r.outlier for r in records], dtype=bool)
-    return preds, scores, labels, outlier
-
-
 def write_summary(path, summary):
     with open(path, "w") as fh:
         json.dump(summary, fh, sort_keys=True, indent=2)
         fh.write("\n")
 
 
-def write_records(path, features, records):
-    """Dataset rows extended with the emitted prediction and OOD score."""
-    x = np.asarray(features, dtype=np.float64)
-    d = x.shape[1]
+def write_records(path, stream, preds, scores):
+    """One row per stream sample: features, truth, prediction and OOD score."""
+    d = stream.features.shape[1]
     cols = [f"x{i}" for i in range(d)] + ["label", "outlier", "pred", "ood_score"]
     with open(path, "w") as fh:
         fh.write(",".join(cols) + "\n")
-        for r in records:
-            vals = ["%.17g" % v for v in x[r.index]]
-            vals += [str(r.label), str(int(r.outlier)), str(r.pred), "%.17g" % r.ood_score]
+        for x, label, outlier, pred, score in zip(
+            stream.features, stream.labels, stream.outlier, preds, scores
+        ):
+            vals = ["%.17g" % v for v in x]
+            vals += [str(label), str(int(outlier)), str(pred), "%.17g" % score]
             fh.write(",".join(vals) + "\n")
 
 
-def write_roc(path, records):
-    _, scores, _, outlier = _records_arrays(records)
+def write_roc(path, scores, outlier):
     fpr, tpr = metrics.roc_curve(scores, outlier)
     with open(path, "w") as fh:
         fh.write("fpr,tpr\n")
@@ -142,28 +121,17 @@ def _shared_model(cfg):
     return model
 
 
-def _write_run_outputs(out_dir, cfg, records, summary):
+def _write_run_outputs(out_dir, cfg, outputs, summary):
     os.makedirs(out_dir, exist_ok=True)
     formats = cfg.output.formats
+    preds, scores = outputs
+    stream = engine.make_stream(cfg)
     if "summary" in formats:
         write_summary(os.path.join(out_dir, "summary.json"), summary)
     if "records" in formats:
-        d = cfg.data
-        stream = datagen.gen_stream(
-            datagen.StreamConfig(
-                num_classes=d.num_classes,
-                input_dim=d.input_dim,
-                num_samples=d.num_samples,
-                batch_size=d.batch_size,
-                severity=d.severity,
-                outlier_ratio=d.outlier_ratio,
-                outlier_mode=d.outlier_mode,
-                seed=cfg.seed,
-            )
-        )
-        write_records(os.path.join(out_dir, "records.csv"), stream.features, records)
+        write_records(os.path.join(out_dir, "records.csv"), stream, preds, scores)
     if "roc" in formats and summary["metrics"]["auc"] is not None:
-        write_roc(os.path.join(out_dir, "roc.csv"), records)
+        write_roc(os.path.join(out_dir, "roc.csv"), scores, stream.outlier)
 
 
 def _print_metrics(name, summary):
@@ -190,34 +158,10 @@ def cmd_pretrain(cfg):
 
 def cmd_run(cfg):
     model = _shared_model(cfg)
-    records, summary = engine.run_experiment(cfg, model=model)
-    _write_run_outputs(cfg.output.directory, cfg, records, summary)
+    outputs, summary = engine.run_experiment(cfg, model=model)
+    _write_run_outputs(cfg.output.directory, cfg, outputs, summary)
     _print_metrics(cfg.method.name, summary)
     return 0
-
-
-def ablation_arms(cfg):
-    """The grid of (arm name, method overrides) pairs run by cmd_ablate."""
-    arms = []
-    for sa, ds, rbm, sw in ABLATION_GRID:
-        name = f"grid_sa{sa}_ds{ds}_rbm{rbm}_sw{sw}"
-        arms.append(
-            (
-                name,
-                dict(
-                    use_sam=bool(sa),
-                    use_decay=bool(ds),
-                    use_memory=bool(rbm),
-                    use_filtering=bool(rbm),
-                    use_self_weight=bool(sw),
-                ),
-            )
-        )
-    for ws in ("self", "static", "eata"):
-        arms.append((f"weight_{ws}", dict(weight_strategy=ws)))
-    arms.append(("aug_on", dict(use_augmentation=True)))
-    arms.append(("aug_off", dict(use_augmentation=False)))
-    return arms
 
 
 def _run_grid(cfg, variants, table_name, extra=None):
@@ -227,7 +171,7 @@ def _run_grid(cfg, variants, table_name, extra=None):
     rows, failures = [], []
     for name, variant_cfg in variants:
         try:
-            records, summary = engine.run_experiment(variant_cfg, model=model)
+            _, summary = engine.run_experiment(variant_cfg, model=model)
         except (ConfigError, ParseError, NumericalError, ValueError) as exc:
             failures.append((name, str(exc)))
             continue
@@ -248,7 +192,7 @@ def cmd_ablate(cfg):
     if cfg.method.name != "stamp":
         raise ConfigError("ablate requires method.name == 'stamp'")
     variants = []
-    for name, overrides in ablation_arms(cfg):
+    for name, overrides in ABLATION_ARMS.items():
         method = dataclasses.replace(cfg.method, **overrides)
         variants.append((name, dataclasses.replace(cfg, method=method)))
     return _run_grid(cfg, variants, "comparison.csv")

@@ -69,34 +69,32 @@ class ModelConfig:
 
 @dataclass
 class MethodConfig:
-    """Adaptation method and its hyperparameters.
+    """Adaptation method and its hyperparameters; the one definition of each knob.
 
-    h_thr_factor scales ln(num_classes) into the entropy admission threshold;
-    delta_thr_factor does the same for the rejection threshold and defaults
-    to h_thr_factor when null. The use_* toggles are the ablation switches;
-    weight_strategy, when set, overrides the strategy implied by
-    use_self_weight.
+    h_thr_factor scales ln(num_classes) into the entropy threshold used both
+    for admission and for the outlier flag. The use_* toggles and
+    weight_strategy are the ablation switches (the full method has every
+    toggle on and "self" weighting). use_filtering gates the two admission
+    filters: with use_memory off and use_filtering on there is nothing to
+    optimize, so no updates happen; with both off the loss is taken over the
+    raw incoming batch, which is classical online entropy minimization.
     """
 
     name: str = "stamp"
     base_lr: float = 0.05
     horizon: int = 150
     rho: float = 0.05
-    norm_floor: float = 1e-12
     views: int = 16
     aug_strength: float = 1.0
     h_thr_factor: float = 0.8
-    delta_thr_factor: float | None = None
     beta: float = 0.1
     capacity: int = 64
     use_memory: bool = True
     use_filtering: bool = True
-    use_self_weight: bool = True
     use_sam: bool = True
     use_decay: bool = True
     use_augmentation: bool = True
-    weight_strategy: str | None = None
-    update_running_stats: bool = True
+    weight_strategy: str = "self"
 
     def validate(self):
         if self.name not in METHODS:
@@ -113,13 +111,11 @@ class MethodConfig:
             raise ConfigError("method.aug_strength must be >= 0")
         if self.h_thr_factor <= 0:
             raise ConfigError("method.h_thr_factor must be positive")
-        if self.delta_thr_factor is not None and self.delta_thr_factor <= 0:
-            raise ConfigError("method.delta_thr_factor must be positive")
         if not 0 < self.beta <= 1:
             raise ConfigError("method.beta must lie in (0, 1]")
         if self.capacity < 1:
             raise ConfigError("method.capacity must be >= 1")
-        if self.weight_strategy is not None and self.weight_strategy not in WEIGHT_STRATEGIES:
+        if self.weight_strategy not in WEIGHT_STRATEGIES:
             raise ConfigError(f"method.weight_strategy must be one of {WEIGHT_STRATEGIES}")
         return self
 
@@ -152,15 +148,8 @@ class ExperimentConfig:
         return self
 
     def h_thr(self):
-        """Entropy admission threshold, h_thr_factor * ln(num_classes)."""
+        """Entropy threshold for admission and outlier flags, h_thr_factor * ln(C)."""
         return self.method.h_thr_factor * math.log(self.data.num_classes)
-
-    def delta_thr(self):
-        """Rejection threshold for detect(); defaults to the admission value."""
-        factor = self.method.delta_thr_factor
-        if factor is None:
-            factor = self.method.h_thr_factor
-        return factor * math.log(self.data.num_classes)
 
     def to_dict(self):
         out = dataclasses.asdict(self)
@@ -185,12 +174,10 @@ def _coerce(section, name, default, value):
             raise ConfigError(f"{section}.{name} must be a list")
         return tuple(value)
     if default is None:
-        # optional field: accept null or a scalar, validation vets the rest
-        if value is None:
-            return None
-        if isinstance(value, (str, int, float)) and not isinstance(value, bool):
-            return float(value) if isinstance(value, (int, float)) and name != "checkpoint" else value
-        raise ConfigError(f"{section}.{name} has an unsupported type")
+        # model.checkpoint, the one optional field: a path or null
+        if value is None or isinstance(value, str):
+            return value
+        raise ConfigError(f"{section}.{name} must be a string or null")
     if isinstance(default, bool):
         if isinstance(value, bool):
             return value

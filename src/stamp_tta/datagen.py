@@ -1,4 +1,4 @@
-"""Synthetic source data, corrupted mixed streams, and the dataset text format.
+"""Synthetic source data, corrupted mixed streams, and augmentation views.
 
 Source classes are isotropic Gaussian clusters spaced evenly on a circle of
 radius 4 in the first two coordinates (sigma 0.5). A test stream corrupts
@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 
 SOURCE_RADIUS = 4.0
 SOURCE_SIGMA = 0.5
@@ -268,79 +268,4 @@ def gen_stream(cfg):
         labels=labels,
         outlier=is_outlier,
         batch_size=cfg.batch_size,
-    )
-
-
-def write_dataset(path, features, labels, outlier):
-    """Write the dataset text format: x0..x{d-1},label,outlier per row.
-
-    Floats are serialized with 17 significant digits so a read round-trips
-    float64 exactly. Outlier rows must carry label -1.
-    """
-    x = np.asarray(features, dtype=np.float64)
-    y = np.asarray(labels, dtype=np.int64)
-    flags = np.asarray(outlier, dtype=bool)
-    n, d = x.shape
-    if y.shape != (n,) or flags.shape != (n,):
-        raise ValueError("features, labels, outlier disagree on sample count")
-    if np.any(flags & (y != OUTLIER_LABEL)) or np.any(~flags & (y < 0)):
-        raise ValueError("outlier rows need label -1 and normal rows a class label")
-    cols = [f"x{i}" for i in range(d)] + ["label", "outlier"]
-    with open(path, "w") as fh:
-        fh.write(",".join(cols) + "\n")
-        for i in range(n):
-            vals = ["%.17g" % v for v in x[i]]
-            fh.write(",".join(vals + [str(int(y[i])), str(int(flags[i]))]) + "\n")
-
-
-def read_dataset(path):
-    """Parse the dataset text format back into (features, labels, outlier).
-
-    Raises ParseError with the offending 1-based line number on a malformed
-    header, field count mismatch, unparseable value, or an inconsistent
-    label/outlier pair. Lines starting with '#' are skipped.
-    """
-    with open(path) as fh:
-        lines = fh.readlines()
-    header_line = None
-    for lineno, raw in enumerate(lines, start=1):
-        if raw.strip() and not raw.startswith("#"):
-            header_line = lineno
-            break
-    if header_line is None:
-        raise ParseError("empty dataset file")
-    cols = lines[header_line - 1].strip().split(",")
-    if len(cols) < 3 or cols[-2:] != ["label", "outlier"]:
-        raise ParseError("header must be x0..x{d-1},label,outlier", line=header_line)
-    d = len(cols) - 2
-    if cols[:d] != [f"x{i}" for i in range(d)]:
-        raise ParseError("header must be x0..x{d-1},label,outlier", line=header_line)
-
-    feats, labels, flags = [], [], []
-    for lineno in range(header_line + 1, len(lines) + 1):
-        raw = lines[lineno - 1]
-        if not raw.strip() or raw.startswith("#"):
-            continue
-        parts = raw.strip().split(",")
-        if len(parts) != d + 2:
-            raise ParseError(f"expected {d + 2} fields, got {len(parts)}", line=lineno)
-        try:
-            row = [float(v) for v in parts[:d]]
-            label = int(parts[d])
-            flag = int(parts[d + 1])
-        except ValueError as exc:
-            raise ParseError(str(exc), line=lineno) from None
-        if flag not in (0, 1):
-            raise ParseError("outlier flag must be 0 or 1", line=lineno)
-        if flag == 1 and label != OUTLIER_LABEL:
-            raise ParseError("outlier rows must carry label -1", line=lineno)
-        if flag == 0 and label < 0:
-            raise ParseError("normal rows need a non-negative label", line=lineno)
-        feats.append(row)
-        labels.append(label)
-        flags.append(bool(flag))
-    return (
-        np.asarray(feats, dtype=np.float64).reshape(len(feats), d),
-        np.asarray(labels, dtype=np.int64),
-        np.asarray(flags, dtype=bool),
     )

@@ -16,72 +16,29 @@ adaptation path; run_experiment joins them back in afterwards for scoring.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+import dataclasses
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import datagen, diffnet, losses, membank, metrics, optim
-from .config import ExperimentConfig
+from .config import ExperimentConfig, MethodConfig
 from .diffnet import ForwardMode
 from .errors import ConfigError
 from .losses import WeightStrategy
 
-_STRATEGY_BY_NAME = {
-    "plain": WeightStrategy.PLAIN,
-    "self": WeightStrategy.SELF_WEIGHTED,
-    "static": WeightStrategy.STATIC_WEIGHTED,
-    "eata": WeightStrategy.EATA_WEIGHTED,
-}
-
-
-@dataclass
-class Toggles:
-    """Ablation switches; the full method has all six on.
-
-    use_filtering gates the two admission filters. With use_memory off and
-    use_filtering on there is nothing to optimize (the filters exist only to
-    feed the memory), so no updates happen; with both off the loss is taken
-    over the raw incoming batch, which is entropy minimization in the
-    classical online style.
-    """
-
-    use_memory: bool = True
-    use_filtering: bool = True
-    use_self_weight: bool = True
-    use_sam: bool = True
-    use_decay: bool = True
-    use_augmentation: bool = True
-
-
-@dataclass
-class EvalRecord:
-    """One emitted sample: position, prediction, OOD score, and eval-only truth."""
-
-    index: int
-    pred: int
-    ood_score: float
-    label: int
-    outlier: bool
-
 
 @dataclass
 class AdaptState:
-    """Everything one adaptation run mutates, bundled for determinism."""
+    """Everything one adaptation run mutates, plus the validated method knobs."""
 
     model: diffnet.Model
     source: diffnet.Model
-    method: str
-    toggles: Toggles
+    cfg: MethodConfig
     sched: optim.ScheduleState
     sam: optim.SamConfig
     bank: membank.MemoryBank | None
     h_thr: float
-    delta_thr: float
-    beta: float = 0.1
-    views: int = 16
-    aug_strength: float = 1.0
-    weight_strategy: WeightStrategy | None = None
-    update_running_stats: bool = True
     seed: int = 0
     samples_seen: int = 0
 
@@ -89,34 +46,18 @@ class AdaptState:
 def build_state(model, cfg: ExperimentConfig):
     """Fresh AdaptState for one run; the given model is never mutated."""
     cfg.validate()
-    m = cfg.method
-    toggles = Toggles(
-        use_memory=m.use_memory,
-        use_filtering=m.use_filtering,
-        use_self_weight=m.use_self_weight,
-        use_sam=m.use_sam,
-        use_decay=m.use_decay,
-        use_augmentation=m.use_augmentation,
-    )
-    strategy = _STRATEGY_BY_NAME[m.weight_strategy] if m.weight_strategy else None
+    m = dataclasses.replace(cfg.method)
     bank = None
     if m.name == "stamp" and m.use_memory:
         bank = membank.MemoryBank(m.capacity, cfg.data.num_classes, cfg.data.input_dim)
     return AdaptState(
         model=diffnet.snapshot_source(model),
         source=diffnet.snapshot_source(model),
-        method=m.name,
-        toggles=toggles,
+        cfg=m,
         sched=optim.ScheduleState(base_lr=m.base_lr, horizon=m.horizon).validate(),
-        sam=optim.SamConfig(rho=m.rho, norm_floor=m.norm_floor).validate(),
+        sam=optim.SamConfig(rho=m.rho).validate(),
         bank=bank,
         h_thr=cfg.h_thr(),
-        delta_thr=cfg.delta_thr(),
-        beta=m.beta,
-        views=m.views,
-        aug_strength=m.aug_strength,
-        weight_strategy=strategy,
-        update_running_stats=m.update_running_stats,
         seed=cfg.seed,
     )
 
@@ -147,20 +88,15 @@ def detect(scores, delta_thr):
     return (np.asarray(scores, dtype=np.float64) >= delta_thr).astype(np.int64)
 
 
-def _resolve_strategy(state):
-    if state.weight_strategy is not None:
-        return state.weight_strategy
-    if state.toggles.use_self_weight:
-        return WeightStrategy.SELF_WEIGHTED
-    return WeightStrategy.PLAIN
-
-
 def _apply_update(state, batch):
-    """One optimization step on the adaptable parameters over `batch`."""
-    strategy = _resolve_strategy(state)
-    objective = losses.make_entropy_objective(strategy, h_thr=state.h_thr)
-    lr = optim.cosine_lr(state.sched) if state.toggles.use_decay else state.sched.base_lr
-    if state.toggles.use_sam:
+    """One optimization step on the adaptable parameters over `batch`.
+
+    The step also folds the batch into the running statistics, once.
+    """
+    m = state.cfg
+    objective = losses.make_entropy_objective(m.weight_strategy, h_thr=state.h_thr)
+    lr = optim.cosine_lr(state.sched) if m.use_decay else state.sched.base_lr
+    if m.use_sam:
         optim.sam_update(
             state.model,
             batch,
@@ -168,7 +104,7 @@ def _apply_update(state, batch):
             objective,
             state.sam,
             lr,
-            update_stats=state.update_running_stats,
+            update_stats=True,
         )
     else:
         optim.sgd_update(
@@ -177,7 +113,7 @@ def _apply_update(state, batch):
             ForwardMode.BATCH_STATS,
             objective,
             lr,
-            update_stats=state.update_running_stats,
+            update_stats=True,
         )
     state.sched.step_count += 1
 
@@ -191,21 +127,22 @@ def stamp_step(state, inputs):
     both off), then refresh the smoothed class frequencies. Returns
     (preds, scores) for the batch.
     """
+    m = state.cfg
     x = np.asarray(inputs, dtype=np.float64)
     probs, preds = averaged_prediction(
         state.model,
         x,
-        state.views,
-        state.aug_strength,
+        m.views,
+        m.aug_strength,
         state.seed,
         state.samples_seen,
-        enabled=state.toggles.use_augmentation,
+        enabled=m.use_augmentation,
     )
     scores = losses.entropy(probs)
     state.samples_seen += x.shape[0]
 
-    if state.toggles.use_memory and state.bank is not None:
-        if state.toggles.use_filtering:
+    if m.use_memory and state.bank is not None:
+        if m.use_filtering:
             source_probs = diffnet.forward(state.source, x, ForwardMode.SOURCE_STATS)
             verdict = membank.filter_masks(probs, source_probs, state.h_thr)
             admitted = np.flatnonzero(verdict.admitted)
@@ -216,8 +153,8 @@ def stamp_step(state, inputs):
         replay, _ = state.bank.contents()
         if replay.shape[0] >= 2:
             _apply_update(state, replay)
-        state.bank.update_class_frequency(state.beta)
-    elif not state.toggles.use_filtering:
+        state.bank.update_class_frequency(m.beta)
+    elif not m.use_filtering:
         if x.shape[0] >= 2:
             _apply_update(state, x)
 
@@ -237,11 +174,11 @@ def baseline_step(state, inputs):
     """
     x = np.asarray(inputs, dtype=np.float64)
     state.samples_seen += x.shape[0]
-    if state.method == "source" or x.shape[0] < 2:
+    if state.cfg.name == "source" or x.shape[0] < 2:
         probs = diffnet.forward(state.model, x, ForwardMode.SOURCE_STATS)
     else:
         probs = diffnet.forward(state.model, x, ForwardMode.BATCH_STATS)
-        if state.method == "tent":
+        if state.cfg.name == "tent":
             objective = losses.make_entropy_objective(WeightStrategy.PLAIN)
             optim.sgd_update(
                 state.model,
@@ -256,11 +193,12 @@ def baseline_step(state, inputs):
 
 
 def step(state, inputs):
-    if state.method == "stamp":
+    name = state.cfg.name
+    if name == "stamp":
         return stamp_step(state, inputs)
-    if state.method in ("source", "bn_stats", "tent"):
+    if name in ("source", "bn_stats", "tent"):
         return baseline_step(state, inputs)
-    raise ConfigError(f"unknown method {state.method!r}")
+    raise ConfigError(f"unknown method {name!r}")
 
 
 def pretrain_source(cfg: ExperimentConfig):
@@ -296,21 +234,10 @@ def pretrain_source(cfg: ExperimentConfig):
     return model, acc
 
 
-def run_experiment(cfg: ExperimentConfig, model=None):
-    """Run one method over one stream; returns (records, summary dict).
-
-    The model comes from, in order: the argument, the configured checkpoint,
-    or a fresh pretraining run. Identical configs produce identical records
-    and summaries; the model is copied, never mutated in place.
-    """
-    cfg.validate()
-    if model is None:
-        if cfg.model.checkpoint:
-            model = diffnet.load_model(cfg.model.checkpoint)
-        else:
-            model, _ = pretrain_source(cfg)
+def make_stream(cfg: ExperimentConfig):
+    """The test stream that cfg.data and cfg.seed describe."""
     d = cfg.data
-    stream = datagen.gen_stream(
+    return datagen.gen_stream(
         datagen.StreamConfig(
             num_classes=d.num_classes,
             input_dim=d.input_dim,
@@ -322,6 +249,23 @@ def run_experiment(cfg: ExperimentConfig, model=None):
             seed=cfg.seed,
         )
     )
+
+
+def run_experiment(cfg: ExperimentConfig, model=None):
+    """Run one method over one stream; returns ((preds, scores), summary dict).
+
+    preds and scores are per-sample arrays in stream order. The model comes
+    from, in order: the argument, the configured checkpoint, or a fresh
+    pretraining run. Identical configs produce identical outputs and
+    summaries; the model is copied, never mutated in place.
+    """
+    cfg.validate()
+    if model is None:
+        if cfg.model.checkpoint:
+            model = diffnet.load_model(cfg.model.checkpoint)
+        else:
+            model, _ = pretrain_source(cfg)
+    stream = make_stream(cfg)
     state = build_state(model, cfg)
     preds = np.empty(len(stream), dtype=np.int64)
     scores = np.empty(len(stream))
@@ -330,18 +274,8 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         preds[start : start + len(p)] = p
         scores[start : start + len(p)] = s
 
-    records = [
-        EvalRecord(
-            index=i,
-            pred=int(preds[i]),
-            ood_score=float(scores[i]),
-            label=int(stream.labels[i]),
-            outlier=bool(stream.outlier[i]),
-        )
-        for i in range(len(stream))
-    ]
     ms = metrics.summarize(preds, scores, stream.labels, stream.outlier)
-    rejected = detect(scores, state.delta_thr)
+    rejected = detect(scores, state.h_thr)
     # echo everything that determines the result; output routing does not,
     # so identical experiments produce identical summaries wherever written
     cfg_echo = cfg.to_dict()
@@ -353,9 +287,9 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         "num_normal": ms.num_normal,
         "num_outlier": ms.num_outlier,
         "h_thr": state.h_thr,
-        "delta_thr": state.delta_thr,
+        "delta_thr": state.h_thr,
         "rejected_fraction": float(rejected.mean()),
         "metrics": {"acc": ms.acc, "auc": ms.auc, "h_score": ms.h},
         "config": cfg_echo,
     }
-    return records, summary
+    return (preds, scores), summary

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import losses
-from .errors import ConfigError, ParseError
+from .errors import ConfigError
 
 
 @dataclass
@@ -149,44 +149,3 @@ class MemoryBank:
         """Copies of the stored features and labels, in insertion order."""
         order = np.argsort(self._ticks[: self._size])
         return self._features[order], self._labels[order]
-
-    def dump(self, path):
-        """Write the bank in the dataset text format plus a frequency sidecar.
-
-        The smoothed class frequencies ride along as a '#' comment line that
-        dataset readers skip.
-        """
-        from . import datagen
-
-        feats, labels = self.contents()
-        datagen.write_dataset(path, feats, labels, np.zeros(len(labels), dtype=bool))
-        with open(path, "a") as fh:
-            freq = ",".join("%.17g" % v for v in self.class_frequency)
-            fh.write(f"# class_frequency,{self._tick},{freq}\n")
-
-    @classmethod
-    def load(cls, path, capacity, num_classes):
-        """Rebuild a bank from dump output; frequencies restore bit-exactly."""
-        from . import datagen
-
-        feats, labels, flags = datagen.read_dataset(path)
-        if flags.any():
-            raise ParseError("memory dumps cannot contain outlier rows")
-        sidecar = None
-        with open(path) as fh:
-            for line in fh:
-                if line.startswith("# class_frequency,"):
-                    sidecar = line.strip().split(",")
-        bank = cls(capacity, num_classes, feats.shape[1])
-        if len(labels) > capacity:
-            raise ParseError("dump holds more entries than the requested capacity")
-        for x, y in zip(feats, labels):
-            bank.insert(x, int(y))
-        if sidecar is not None:
-            tick = int(sidecar[1])
-            freq = np.asarray([float(v) for v in sidecar[2:]])
-            if freq.shape != (num_classes,):
-                raise ParseError("frequency sidecar does not match num_classes")
-            bank.class_frequency = freq
-            bank._tick = max(bank._tick, tick)
-        return bank

@@ -1,13 +1,14 @@
 """End-to-end command behavior: files written, determinism, error exits."""
 
 import csv
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from stamp_tta import cli, datagen
-from stamp_tta.config import ExperimentConfig
+from stamp_tta import benchmark, cli, engine
+from stamp_tta.config import ExperimentConfig, config_from_dict
 
 
 def tiny_config(tmp_path, **extra):
@@ -81,19 +82,7 @@ class TestRun:
         rows = read_rows(run_dir / "records.csv")
         assert len(rows) == 96
         summary = json.loads((run_dir / "summary.json").read_text())
-        cfg_echo = summary["config"]
-        stream = datagen.gen_stream(
-            datagen.StreamConfig(
-                num_classes=cfg_echo["data"]["num_classes"],
-                input_dim=cfg_echo["data"]["input_dim"],
-                num_samples=cfg_echo["data"]["num_samples"],
-                batch_size=cfg_echo["data"]["batch_size"],
-                severity=cfg_echo["data"]["severity"],
-                outlier_ratio=cfg_echo["data"]["outlier_ratio"],
-                outlier_mode=cfg_echo["data"]["outlier_mode"],
-                seed=cfg_echo["seed"],
-            )
-        )
+        stream = engine.make_stream(config_from_dict(summary["config"]))
         # feature columns round-trip the generated stream bit for bit
         for i, row in enumerate(rows):
             assert float(row["x0"]) == stream.features[i, 0]
@@ -181,6 +170,38 @@ class TestErrors:
         assert rc == 2
         assert "data.num_sample" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "key",
+        [
+            "method.use_self_weight",
+            "method.delta_thr_factor",
+            "method.norm_floor",
+            "method.update_running_stats",
+        ],
+    )
+    def test_removed_method_key_rejected(self, tmp_path, capsys, key):
+        section, name = key.split(".")
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({section: {name: True}}))
+        rc = cli.main(["run", "--config", str(path), "--out", str(tmp_path)])
+        assert rc == 2
+        assert key in capsys.readouterr().err
+
+    def test_numeric_checkpoint_rejected(self, tmp_path, capsys):
+        cfg = tiny_config(tmp_path)
+        rc = cli.main(
+            [
+                "run",
+                "--config",
+                str(cfg),
+                "--out",
+                str(tmp_path / "o"),
+                "--model.checkpoint=2",
+            ]
+        )
+        assert rc == 2
+        assert "model.checkpoint" in capsys.readouterr().err
+
     def test_missing_checkpoint_rejected(self, tmp_path, capsys):
         cfg = tiny_config(
             tmp_path, **{"model.checkpoint": str(tmp_path / "gone.npz")}
@@ -227,6 +248,36 @@ class TestAblate:
             ["ablate", "--config", str(cfg), "--out", str(tmp_path / "o")]
         )
         assert rc == 2
+
+
+class TestArmRegistry:
+    def test_ablate_arm_names_in_table_order(self):
+        assert list(benchmark.ABLATION_ARMS) == [
+            "grid_sa0_ds0_rbm0_sw0",
+            "grid_sa0_ds1_rbm0_sw0",
+            "grid_sa1_ds0_rbm0_sw0",
+            "grid_sa1_ds1_rbm0_sw0",
+            "grid_sa1_ds1_rbm0_sw1",
+            "grid_sa1_ds1_rbm1_sw0",
+            "grid_sa1_ds1_rbm1_sw1",
+            "weight_self",
+            "weight_static",
+            "weight_eata",
+            "aug_on",
+            "aug_off",
+        ]
+
+    @pytest.mark.parametrize("arm", ["grid_sa1_ds1_rbm1_sw1", "weight_self", "aug_on"])
+    def test_full_method_arms_leave_method_unchanged(self, arm):
+        method = benchmark.load_benchmark_config().method
+        overrides = benchmark.ABLATION_ARMS[arm]
+        assert dataclasses.replace(method, **overrides) == method
+
+    def test_every_arm_validates(self):
+        method = ExperimentConfig().method
+        for arms in (benchmark.ABLATION_ARMS, benchmark.REMOVAL_ARMS):
+            for overrides in arms.values():
+                dataclasses.replace(method, **overrides).validate()
 
 
 class TestSweepRatio:

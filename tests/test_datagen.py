@@ -1,16 +1,14 @@
-"""Source geometry, corruption map, stream mixing, dataset round-trips."""
+"""Source geometry, corruption map, augmentation views, stream mixing."""
 
 import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
-from hypothesis import strategies as st
 
 from conftest import reference_augment_views
 from stamp_tta import datagen
 from stamp_tta.datagen import CorruptionConfig, StreamConfig
-from stamp_tta.errors import ConfigError, ParseError
+from stamp_tta.errors import ConfigError
 
 
 class TestGeometry:
@@ -257,101 +255,3 @@ class TestGenStream:
             datagen.gen_stream(self._cfg(outlier_mode="nope"))
         with pytest.raises(ConfigError):
             datagen.gen_stream(self._cfg(num_samples=0))
-
-
-class TestDatasetIO:
-    def test_round_trip_bit_exact(self, tmp_path):
-        s = datagen.gen_stream(
-            StreamConfig(num_classes=4, num_samples=500, seed=3)
-        )
-        path = tmp_path / "stream.csv"
-        datagen.write_dataset(path, s.features, s.labels, s.outlier)
-        x, y, flags = datagen.read_dataset(path)
-        assert np.array_equal(x, s.features)
-        assert np.array_equal(y, s.labels)
-        assert np.array_equal(flags, s.outlier)
-
-    def test_header_format(self, tmp_path):
-        path = tmp_path / "d.csv"
-        datagen.write_dataset(
-            path, np.zeros((1, 3)), np.array([2]), np.array([False])
-        )
-        header = path.read_text().splitlines()[0]
-        assert header == "x0,x1,x2,label,outlier"
-
-    def test_inconsistent_write_rejected(self, tmp_path):
-        with pytest.raises(ValueError):
-            datagen.write_dataset(
-                tmp_path / "bad.csv", np.zeros((1, 2)), np.array([3]), np.array([True])
-            )
-
-    def _write(self, tmp_path, text):
-        path = tmp_path / "in.csv"
-        path.write_text(text)
-        return path
-
-    def test_parse_error_reports_line_number(self, tmp_path):
-        path = self._write(tmp_path, "x0,x1,label,outlier\n1.0,2.0,0,0\n1.0,oops,1,0\n")
-        with pytest.raises(ParseError) as err:
-            datagen.read_dataset(path)
-        assert err.value.line == 3
-
-    def test_field_count_mismatch(self, tmp_path):
-        path = self._write(tmp_path, "x0,x1,label,outlier\n1.0,2.0,0\n")
-        with pytest.raises(ParseError) as err:
-            datagen.read_dataset(path)
-        assert err.value.line == 2
-
-    def test_outlier_with_class_label_rejected(self, tmp_path):
-        path = self._write(tmp_path, "x0,x1,label,outlier\n1.0,2.0,3,1\n")
-        with pytest.raises(ParseError) as err:
-            datagen.read_dataset(path)
-        assert err.value.line == 2
-
-    def test_normal_with_negative_label_rejected(self, tmp_path):
-        path = self._write(tmp_path, "x0,x1,label,outlier\n1.0,2.0,-1,0\n")
-        with pytest.raises(ParseError):
-            datagen.read_dataset(path)
-
-    def test_bad_flag_rejected(self, tmp_path):
-        path = self._write(tmp_path, "x0,x1,label,outlier\n1.0,2.0,0,2\n")
-        with pytest.raises(ParseError):
-            datagen.read_dataset(path)
-
-    def test_bad_header_rejected(self, tmp_path):
-        path = self._write(tmp_path, "a,b,label,outlier\n1.0,2.0,0,0\n")
-        with pytest.raises(ParseError) as err:
-            datagen.read_dataset(path)
-        assert err.value.line == 1
-
-    def test_empty_file_rejected(self, tmp_path):
-        with pytest.raises(ParseError):
-            datagen.read_dataset(self._write(tmp_path, ""))
-
-    def test_comment_lines_skipped(self, tmp_path):
-        path = self._write(
-            tmp_path, "x0,x1,label,outlier\n1.0,2.0,0,0\n# trailing note\n"
-        )
-        x, y, flags = datagen.read_dataset(path)
-        assert x.shape == (1, 2)
-
-    @settings(max_examples=25, deadline=None)
-    @given(
-        st.lists(
-            st.tuples(
-                st.floats(-1e12, 1e12, allow_nan=False),
-                st.floats(-1e-12, 1e-12, allow_nan=False),
-                st.integers(0, 3),
-            ),
-            min_size=1,
-            max_size=20,
-        )
-    )
-    def test_seventeen_digit_serialization_round_trips(self, tmp_path_factory, rows):
-        path = tmp_path_factory.mktemp("io") / "rt.csv"
-        x = np.array([[a, b] for a, b, _ in rows])
-        y = np.array([c for _, _, c in rows], dtype=np.int64)
-        flags = np.zeros(len(rows), dtype=bool)
-        datagen.write_dataset(path, x, y, flags)
-        x2, y2, f2 = datagen.read_dataset(path)
-        assert np.array_equal(x, x2)

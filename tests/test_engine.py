@@ -8,7 +8,6 @@ import pytest
 from stamp_tta import config as config_mod
 from stamp_tta import datagen, diffnet, engine, losses, optim
 from stamp_tta.diffnet import ForwardMode
-from stamp_tta.engine import Toggles
 from stamp_tta.errors import ConfigError
 
 
@@ -111,6 +110,13 @@ class TestStampStep:
         )
         return stream.features
 
+    def test_state_keeps_a_copy_of_the_method_config(self, trained_model):
+        cfg = small_cfg()
+        state = engine.build_state(trained_model, cfg)
+        assert state.cfg == cfg.method
+        cfg.method.views = 3
+        assert state.cfg.views == 16
+
     def test_emission_before_update(self, trained_model):
         state = self._state(trained_model)
         x = self._batch(0)
@@ -123,7 +129,7 @@ class TestStampStep:
         assert not params_equal(before, after)  # an update happened
         # emitted values match a recomputation with the pre-update model
         probs, expect_preds = engine.averaged_prediction(
-            ref, x, state.views, state.aug_strength, state.seed, 0
+            ref, x, state.cfg.views, state.cfg.aug_strength, state.seed, 0
         )
         assert np.array_equal(preds, expect_preds)
         assert np.allclose(scores, losses.entropy(probs), atol=1e-12)
@@ -149,7 +155,7 @@ class TestStampStep:
             use_memory=False,
             use_sam=False,
             use_decay=False,
-            use_self_weight=False,
+            weight_strategy="plain",
             use_augmentation=False,
         )
         x = self._batch(3)
@@ -166,12 +172,12 @@ class TestStampStep:
         for name in (
             "use_memory",
             "use_filtering",
-            "use_self_weight",
             "use_sam",
             "use_decay",
             "use_augmentation",
         ):
             setattr(cfg.method, name, False)
+        cfg.method.weight_strategy = "plain"
         degenerate = engine.build_state(trained_model, cfg)
 
         tent_cfg = small_cfg()
@@ -206,7 +212,7 @@ class TestStampStep:
         engine.stamp_step(state, x)
         counts = state.bank.class_counts()
         assert np.allclose(
-            state.bank.class_frequency, state.beta * counts, atol=1e-12
+            state.bank.class_frequency, state.cfg.beta * counts, atol=1e-12
         )
 
     def test_schedule_advances_only_on_updates(self, trained_model):
@@ -294,13 +300,11 @@ class TestRunExperiment:
     def test_deterministic_and_model_untouched(self, trained_model):
         cfg = small_cfg()
         before = adaptable_snapshot(trained_model)
-        r1, s1 = engine.run_experiment(cfg, model=trained_model)
-        r2, s2 = engine.run_experiment(cfg, model=trained_model)
+        (p1, o1), s1 = engine.run_experiment(cfg, model=trained_model)
+        (p2, o2), s2 = engine.run_experiment(cfg, model=trained_model)
         assert params_equal(before, adaptable_snapshot(trained_model))
-        assert len(r1) == cfg.data.num_samples
-        assert all(
-            a.pred == b.pred and a.ood_score == b.ood_score for a, b in zip(r1, r2)
-        )
+        assert p1.shape == o1.shape == (cfg.data.num_samples,)
+        assert np.array_equal(p1, p2) and np.array_equal(o1, o2)
         assert s1 == s2
 
     @pytest.mark.parametrize("method", ["source", "bn_stats", "tent", "stamp"])
@@ -328,27 +332,8 @@ class TestRunExperiment:
         cfg.data.num_samples = 65
         for method in ("source", "bn_stats", "tent", "stamp"):
             cfg.method.name = method
-            records, _ = engine.run_experiment(cfg, model=trained_model)
-            assert len(records) == 65
-
-    def test_records_align_with_stream_truth(self, trained_model):
-        cfg = small_cfg()
-        records, _ = engine.run_experiment(cfg, model=trained_model)
-        stream = datagen.gen_stream(
-            datagen.StreamConfig(
-                num_classes=cfg.data.num_classes,
-                input_dim=cfg.data.input_dim,
-                num_samples=cfg.data.num_samples,
-                batch_size=cfg.data.batch_size,
-                severity=cfg.data.severity,
-                outlier_ratio=cfg.data.outlier_ratio,
-                outlier_mode=cfg.data.outlier_mode,
-                seed=cfg.seed,
-            )
-        )
-        for r in records:
-            assert r.label == stream.labels[r.index]
-            assert r.outlier == bool(stream.outlier[r.index])
+            (preds, scores), _ = engine.run_experiment(cfg, model=trained_model)
+            assert len(preds) == len(scores) == 65
 
     def test_pretrain_floor_enforced(self):
         cfg = small_cfg()

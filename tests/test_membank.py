@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceBank
 from stamp_tta import membank
-from stamp_tta.errors import ConfigError, ParseError
+from stamp_tta.errors import ConfigError
 from stamp_tta.membank import MemoryBank, filter_masks
 
 
@@ -164,54 +164,6 @@ class TestFrequencyUpdate:
             bank.update_class_frequency(0.0)
         with pytest.raises(ConfigError):
             bank.update_class_frequency(1.5)
-
-
-class TestDumpLoad:
-    def test_round_trip(self, tmp_path):
-        bank = MemoryBank(4, num_classes=3, input_dim=2)
-        rng = np.random.default_rng(0)
-        for i in range(7):
-            bank.insert(rng.normal(size=2), int(rng.integers(0, 3)))
-            bank.update_class_frequency(0.1)
-        path = tmp_path / "bank.csv"
-        bank.dump(path)
-        loaded = MemoryBank.load(path, capacity=4, num_classes=3)
-        f1, l1 = bank.contents()
-        f2, l2 = loaded.contents()
-        assert np.array_equal(f1, f2)
-        assert np.array_equal(l1, l2)
-        assert np.array_equal(bank.class_frequency, loaded.class_frequency)
-
-    def test_dump_is_valid_dataset(self, tmp_path):
-        from stamp_tta import datagen
-
-        bank = MemoryBank(3, num_classes=2, input_dim=2)
-        bank.insert(vec(1.5, -2.5), 1)
-        path = tmp_path / "bank.csv"
-        bank.dump(path)
-        x, y, flags = datagen.read_dataset(path)
-        assert np.array_equal(x, [[1.5, -2.5]])
-        assert list(y) == [1]
-        assert not flags.any()
-
-    def test_empty_bank_round_trip_keeps_feature_width(self, tmp_path):
-        bank = MemoryBank(4, num_classes=3, input_dim=3)
-        path = tmp_path / "bank.csv"
-        bank.dump(path)
-        assert path.read_text().splitlines()[0] == "x0,x1,x2,label,outlier"
-        loaded = MemoryBank.load(path, capacity=4, num_classes=3)
-        assert len(loaded) == 0
-        feats, labels = loaded.contents()
-        assert feats.shape == (0, 3) and labels.shape == (0,)
-
-    def test_load_rejects_oversized_dump(self, tmp_path):
-        bank = MemoryBank(5, num_classes=2, input_dim=2)
-        for i in range(5):
-            bank.insert(vec(i, 0), 0)
-        path = tmp_path / "bank.csv"
-        bank.dump(path)
-        with pytest.raises(ParseError):
-            MemoryBank.load(path, capacity=3, num_classes=2)
 
 
 @settings(max_examples=40, deadline=None)
