@@ -7,6 +7,11 @@ function), BATCH_STATS normalizes with the statistics of the current batch and
 optionally folds them into the running buffers. Gradients are computed by an
 explicit backward pass seeded with a logit-space gradient, so the adaptation
 losses can stay autodiff-free.
+
+forward_cached keeps every intermediate array for backward. Inference with
+SOURCE_STATS goes through forward, which computes each hidden layer in place
+in one array per layer, with the same operations in the same order, so its
+probabilities are byte-identical to forward_cached's.
 """
 
 from __future__ import annotations
@@ -105,14 +110,8 @@ class ForwardCache:
     logits: np.ndarray
 
 
-def forward_cached(model, inputs, mode, update_stats=False):
-    """Run the network; returns (probability matrix, cache for backward).
-
-    BATCH_STATS requires at least two rows (the batch variance must be
-    defined) and touches the running buffers only when update_stats is set,
-    using the unbiased variance for the running update and the biased one for
-    normalization. SOURCE_STATS never mutates the model.
-    """
+def _checked_inputs(model, inputs, mode, update_stats):
+    """The inputs as a float64 matrix, after the checks both forwards share."""
     x = np.asarray(inputs, dtype=np.float64)
     if x.ndim != 2:
         raise ValueError("inputs must be a (batch, features) matrix")
@@ -124,9 +123,19 @@ def forward_cached(model, inputs, mode, update_stats=False):
         raise ValueError("BATCH_STATS mode needs a batch of size >= 2")
     if mode is ForwardMode.SOURCE_STATS and update_stats:
         raise ValueError("running statistics can only be updated in BATCH_STATS mode")
+    return x
 
+
+def forward_cached(model, inputs, mode, update_stats=False):
+    """Run the network; returns (probability matrix, cache for backward).
+
+    BATCH_STATS requires at least two rows (the batch variance must be
+    defined) and touches the running buffers only when update_stats is set,
+    using the unbiased variance for the running update and the biased one for
+    normalization. SOURCE_STATS never mutates the model.
+    """
+    a = _checked_inputs(model, inputs, mode, update_stats)
     caches = []
-    a = x
     for layer in model.layers[:-1]:
         cache = _LayerCache(inputs=a)
         z = a @ layer.weight + layer.bias
@@ -159,9 +168,34 @@ def forward_cached(model, inputs, mode, update_stats=False):
 
 
 def forward(model, inputs, mode, update_stats=False):
-    """Probability matrix only; see forward_cached."""
-    probs, _ = forward_cached(model, inputs, mode, update_stats=update_stats)
-    return probs
+    """Probability matrix only; same arguments and checks as forward_cached.
+
+    BATCH_STATS goes through forward_cached. SOURCE_STATS computes each hidden
+    layer in place in one fresh array (the caller's inputs are never written),
+    applying forward_cached's operations in its order, so the result is
+    byte-identical while a large batch allocates one array per layer instead
+    of one per operation. Rows are deliberately not split into blocks: the
+    matmul kernel may then round differently.
+    """
+    if mode is ForwardMode.BATCH_STATS:
+        probs, _ = forward_cached(model, inputs, mode, update_stats=update_stats)
+        return probs
+    a = _checked_inputs(model, inputs, mode, update_stats)
+    for layer in model.layers[:-1]:
+        bn = layer.bn
+        z = a @ layer.weight
+        z += layer.bias
+        z -= bn.running_mean
+        z /= np.sqrt(bn.running_var + bn.eps)
+        z *= bn.gamma
+        z += bn.beta
+        # equals np.where(z > 0, z, 0.0): -0.0 and NaN become +0.0
+        np.copyto(z, 0.0, where=~(z > 0))
+        a = z
+    head = model.layers[-1]
+    logits = a @ head.weight
+    logits += head.bias
+    return losses.softmax(logits)
 
 
 def adaptable_params(model):

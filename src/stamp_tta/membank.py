@@ -99,18 +99,16 @@ class MemoryBank:
         """Raw per-class counts of the stored entries."""
         return np.array([len(q) for q in self._slots], dtype=np.int64)
 
-    def insert(self, features, label, verdict=None):
+    def insert(self, features, label):
         """Store one admitted sample; returns the evicted entry or None.
 
         When the bank is full, the victim class is the present class with the
         highest smoothed frequency (ties to the lowest class index) and the
-        victim is its oldest entry. A verdict, if given, must be an admission.
+        victim is its oldest entry.
         """
         label = int(label)
         if not 0 <= label < self.num_classes:
             raise ValueError("label out of range")
-        if verdict is not None and not verdict.admitted:
-            raise ValueError("insert called with a rejected sample")
         row = np.asarray(features, dtype=np.float64)
         if row.shape != (self.input_dim,):
             raise ValueError(f"features must be a vector of length {self.input_dim}")

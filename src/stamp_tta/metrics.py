@@ -26,15 +26,12 @@ def _midranks(values):
     """Ranks 1..n with ties sharing the average rank of their run."""
     v = np.asarray(values, dtype=np.float64)
     order = np.argsort(v, kind="mergesort")
-    ranks = np.empty(v.shape[0])
     sv = v[order]
-    i = 0
-    while i < sv.shape[0]:
-        j = i
-        while j + 1 < sv.shape[0] and sv[j + 1] == sv[i]:
-            j += 1
-        ranks[order[i : j + 1]] = 0.5 * (i + j) + 1.0
-        i = j + 1
+    # run i..j of equal sorted values; != rather than np.diff keeps inf == inf
+    starts = np.concatenate(([0], np.flatnonzero(sv[1:] != sv[:-1]) + 1))
+    ends = np.append(starts[1:], sv.shape[0]) - 1
+    ranks = np.empty(v.shape[0])
+    ranks[order] = np.repeat(0.5 * (starts + ends) + 1.0, ends - starts + 1)
     return ranks
 
 

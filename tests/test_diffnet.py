@@ -76,11 +76,31 @@ class TestForward:
     def test_source_stats_is_pure(self):
         m = make_random_model(2)
         x = np.random.default_rng(1).normal(size=(5, 3))
+        x_before = x.copy()
         before = snapshot_arrays(m)
         p1 = diffnet.forward(m, x, ForwardMode.SOURCE_STATS)
         p2 = diffnet.forward(m, x, ForwardMode.SOURCE_STATS)
         assert np.array_equal(p1, p2)
         assert arrays_equal(before, snapshot_arrays(m))
+        assert np.array_equal(x, x_before)
+
+    @pytest.mark.parametrize("input_dim", [2, 5])
+    @pytest.mark.parametrize("hidden", [(6, 5), (32, 32), (300,)])
+    @pytest.mark.parametrize("n", [1, 2, 63, 1024, 1500])
+    def test_source_stats_in_place_equals_cached(self, n, hidden, input_dim):
+        m = make_random_model(8, input_dim=input_dim, hidden=hidden)
+        x = np.random.default_rng(n).normal(size=(n, input_dim))
+        cached, _ = diffnet.forward_cached(m, x, ForwardMode.SOURCE_STATS)
+        assert np.array_equal(diffnet.forward(m, x, ForwardMode.SOURCE_STATS), cached)
+
+    def test_source_stats_relu_zeroes_nan_units_like_cached(self):
+        # a NaN pre-activation is zeroed by the ReLU, as np.where(y > 0, y, 0.0) does
+        m = make_random_model(9)
+        m.layers[0].bn.running_var[0] = np.nan
+        x = np.random.default_rng(4).normal(size=(4, 3))
+        cached, _ = diffnet.forward_cached(m, x, ForwardMode.SOURCE_STATS)
+        assert np.all(np.isfinite(cached))
+        assert np.array_equal(diffnet.forward(m, x, ForwardMode.SOURCE_STATS), cached)
 
     def test_source_stats_row_independence(self):
         # equality is to float accuracy, not bitwise: the matmul kernel may

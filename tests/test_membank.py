@@ -8,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import ReferenceBank
-from stamp_tta import membank
 from stamp_tta.errors import ConfigError
 from stamp_tta.membank import MemoryBank, filter_masks
 
@@ -115,12 +114,6 @@ class TestInsertEvict:
         bank.class_frequency = np.array([0.0, 3.0, 3.0])
         evicted = bank.insert(vec(2, 0), 0)
         assert evicted.label == 1
-
-    def test_insert_requires_admitted_verdict(self):
-        bank = MemoryBank(2, num_classes=2, input_dim=2)
-        rejected = membank.FilterVerdict(consistent=False, confident=True, entropy=0.1)
-        with pytest.raises(ValueError):
-            bank.insert(vec(0, 0), 0, rejected)
 
     def test_label_range_checked(self):
         bank = MemoryBank(2, num_classes=2, input_dim=2)

@@ -23,6 +23,28 @@ class TestAccuracy:
             metrics.accuracy(np.array([0]), np.array([-1]), np.array([True]))
 
 
+def direct_midranks(values):
+    """Mean 1-based position, in sorted order, of each value's equal run."""
+    ordered = np.sort(values)
+    return np.array([np.flatnonzero(ordered == v).mean() + 1.0 for v in values])
+
+
+class TestMidranks:
+    @pytest.mark.parametrize(
+        "values",
+        [
+            np.round(np.random.default_rng(0).normal(size=200), 1),
+            np.round(np.random.default_rng(1).uniform(size=50), 2),
+            np.full(7, 0.25),
+            np.random.default_rng(2).permutation(40).astype(np.float64),
+            np.array([3.5]),
+        ],
+        ids=["rounded_normal", "rounded_uniform", "all_equal", "all_distinct", "single"],
+    )
+    def test_matches_direct_definition(self, values):
+        assert np.array_equal(metrics._midranks(values), direct_midranks(values))
+
+
 class TestAuroc:
     def test_perfect_and_inverted_separation(self):
         scores = np.array([0.1, 0.2, 0.8, 0.9])
