@@ -126,19 +126,18 @@ def augment_views(x, num_views, strength, seed, sample_id):
     """num_views randomized views of each sample for prediction averaging.
 
     Each view rotates by an angle uniform in +-(strength * 10 degrees) and
-    adds isotropic Gaussian noise with sigma strength * 0.05. x is one
-    feature vector, giving a (num_views, d) result, or a (b, d) batch whose
-    row i is sample sample_id + i, giving the (b * num_views, d) stack with
-    each sample's views contiguous. Every sample draws from its own
-    generator seeded by (seed, sample_id), so a row's views do not depend on
-    the batch it arrives in; strength 0 short-circuits to exact copies.
+    adds isotropic Gaussian noise with sigma strength * 0.05. x is a (b, d)
+    batch whose row i is sample sample_id + i; the result is the
+    (b * num_views, d) stack with each sample's views contiguous. Every
+    sample draws from its own generator seeded by (seed, sample_id), so a
+    row's views do not depend on the batch it arrives in; strength 0
+    short-circuits to exact copies.
     """
     if num_views < 1:
         raise ConfigError("num_views must be >= 1")
-    v = np.asarray(x, dtype=np.float64)
-    if v.ndim not in (1, 2):
-        raise ValueError("augment_views expects a feature vector or a (b, d) batch")
-    rows = np.atleast_2d(v)
+    rows = np.asarray(x, dtype=np.float64)
+    if rows.ndim != 2:
+        raise ValueError("augment_views expects a (b, d) batch")
     b, d = rows.shape
     if strength == 0:
         return np.repeat(rows, num_views, axis=0)

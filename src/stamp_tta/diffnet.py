@@ -12,6 +12,10 @@ forward_cached keeps every intermediate array for backward. Inference with
 SOURCE_STATS goes through forward, which computes each hidden layer in place
 in one array per layer, with the same operations in the same order, so its
 probabilities are byte-identical to forward_cached's.
+
+Parameters are addressed by position: params(model, wrt) lists the model's
+own arrays in one fixed order, and backward and grad return gradient lists
+in that same order. Updates write into those arrays in place (set_params).
 """
 
 from __future__ import annotations
@@ -198,69 +202,51 @@ def forward(model, inputs, mode, update_stats=False):
     return losses.softmax(logits)
 
 
-def adaptable_params(model):
-    """Names of the BN scale/shift parameters, the only ones adaptation may touch.
+def _param_names(model, wrt):
+    """Dotted names of params(model, wrt), in the same order; for error messages."""
+    names = []
+    for i, layer in enumerate(model.layers):
+        if wrt == "all":
+            names += [f"layers.{i}.weight", f"layers.{i}.bias"]
+        if layer.bn is not None:
+            names += [f"layers.{i}.bn.gamma", f"layers.{i}.bn.beta"]
+    return names
 
-    The classification head stays frozen. Order is stable: layer index
-    ascending, gamma before beta.
+
+def params(model, wrt="adaptable"):
+    """The model's own parameter arrays (not copies), in one fixed order.
+
+    Layer index ascending, and within a layer weight, bias, gamma, beta.
+    "all" lists every trained array; "adaptable" keeps only the BN scale and
+    shift, the only ones adaptation may touch (the head stays frozen).
+    Writing into a returned array (p[...] = value) updates the model.
     """
-    names = []
-    for i, layer in enumerate(model.layers):
+    if wrt not in ("adaptable", "all"):
+        raise ValueError("wrt must be 'adaptable' or 'all'")
+    out = []
+    for layer in model.layers:
+        if wrt == "all":
+            out += [layer.weight, layer.bias]
         if layer.bn is not None:
-            names.append(f"layers.{i}.bn.gamma")
-            names.append(f"layers.{i}.bn.beta")
-    if not names:
+            out += [layer.bn.gamma, layer.bn.beta]
+    if wrt == "adaptable" and not out:
         raise ConfigError("model has no batch norm layers to adapt")
-    return names
-
-
-def all_param_names(model):
-    names = []
-    for i, layer in enumerate(model.layers):
-        names.append(f"layers.{i}.weight")
-        names.append(f"layers.{i}.bias")
-        if layer.bn is not None:
-            names.append(f"layers.{i}.bn.gamma")
-            names.append(f"layers.{i}.bn.beta")
-    return names
-
-
-def _param_slot(model, name):
-    parts = name.split(".")
-    try:
-        idx = int(parts[1])
-        layer = model.layers[idx]
-        if parts[0] != "layers":
-            raise KeyError
-        if len(parts) == 3 and parts[2] in ("weight", "bias"):
-            return layer, parts[2]
-        if len(parts) == 4 and parts[2] == "bn" and parts[3] in ("gamma", "beta"):
-            if layer.bn is None:
-                raise KeyError
-            return layer.bn, parts[3]
-        raise KeyError
-    except (ValueError, IndexError, KeyError):
-        raise KeyError(f"unknown parameter {name!r}") from None
-
-
-def get_params(model, names):
-    """Copies of the named parameter arrays, keyed by name in the given order."""
-    out = {}
-    for name in names:
-        owner, attr = _param_slot(model, name)
-        out[name] = getattr(owner, attr).copy()
     return out
 
 
 def set_params(model, values):
-    """Write parameter arrays back in place; shapes must match exactly."""
-    for name, arr in values.items():
-        owner, attr = _param_slot(model, name)
-        current = getattr(owner, attr)
-        arr = np.asarray(arr, dtype=np.float64)
-        if arr.shape != current.shape:
-            raise ValueError(f"shape mismatch for {name}: {arr.shape} vs {current.shape}")
-        setattr(owner, attr, arr.copy())
+    """Write values into params(model, "adaptable") in place, position by position.
+
+    Shapes must match exactly; the model keeps its own array objects.
+    """
+    live = params(model, "adaptable")
+    if len(values) != len(live):
+        raise ValueError(f"expected {len(live)} arrays, got {len(values)}")
+    for k, (p, v) in enumerate(zip(live, values)):
+        v = np.asarray(v, dtype=np.float64)
+        if v.shape != p.shape:
+            raise ValueError(f"shape mismatch for parameter {k}: {v.shape} vs {p.shape}")
+        p[...] = v
 
 
 def backward(model, cache, dlogits, wrt="adaptable"):
@@ -268,22 +254,20 @@ def backward(model, cache, dlogits, wrt="adaptable"):
 
     In BATCH_STATS mode the gradient flows through the batch mean and
     variance; in SOURCE_STATS mode the running statistics are constants.
-    Returns a name -> array dict covering wrt ("adaptable" or "all").
+    Returns a list of gradient arrays in the order of params(model, wrt).
     """
     if wrt not in ("adaptable", "all"):
         raise ValueError("wrt must be 'adaptable' or 'all'")
-    want = set(adaptable_params(model) if wrt == "adaptable" else all_param_names(model))
-    grads = {}
+    every = wrt == "all"
+    per_layer = [[] for _ in model.layers]
 
     head = model.layers[-1]
     head_cache = cache.layers[-1]
     d = np.asarray(dlogits, dtype=np.float64)
     if d.shape != cache.logits.shape:
         raise ValueError("dlogits shape does not match logits")
-    name = f"layers.{len(model.layers) - 1}"
-    if f"{name}.weight" in want:
-        grads[f"{name}.weight"] = head_cache.inputs.T @ d
-        grads[f"{name}.bias"] = d.sum(axis=0)
+    if every:
+        per_layer[-1] = [head_cache.inputs.T @ d, d.sum(axis=0)]
     da = d @ head.weight.T
 
     for i in range(len(model.layers) - 2, -1, -1):
@@ -291,9 +275,7 @@ def backward(model, cache, dlogits, wrt="adaptable"):
         lc = cache.layers[i]
         bn = layer.bn
         dy = np.where(lc.relu_mask, da, 0.0)
-        if f"layers.{i}.bn.gamma" in want:
-            grads[f"layers.{i}.bn.gamma"] = (dy * lc.x_hat).sum(axis=0)
-            grads[f"layers.{i}.bn.beta"] = dy.sum(axis=0)
+        bn_grads = [(dy * lc.x_hat).sum(axis=0), dy.sum(axis=0)]
         dxhat = dy * bn.gamma
         if cache.mode is ForwardMode.BATCH_STATS:
             m = dy.shape[0]
@@ -303,33 +285,28 @@ def backward(model, cache, dlogits, wrt="adaptable"):
             dz = dxhat / lc.std + dvar * 2.0 * z_centered / m + dmean / m
         else:
             dz = dxhat / lc.std
-        if f"layers.{i}.weight" in want:
-            grads[f"layers.{i}.weight"] = lc.inputs.T @ dz
-            grads[f"layers.{i}.bias"] = dz.sum(axis=0)
-        da = dz @ layer.weight.T
+        per_layer[i] = ([lc.inputs.T @ dz, dz.sum(axis=0)] if every else []) + bn_grads
+        if i > 0:  # nothing consumes the gradient of the network's input
+            da = dz @ layer.weight.T
 
-    return {name: grads[name] for name in sorted(want, key=_param_sort_key)}
-
-
-def _param_sort_key(name):
-    parts = name.split(".")
-    order = {"weight": 0, "bias": 1, "gamma": 2, "beta": 3}
-    return (int(parts[1]), order[parts[-1]])
+    return [g for grads in per_layer for g in grads]
 
 
 def grad(model, inputs, mode, logit_loss, wrt="adaptable", update_stats=False):
     """Forward, evaluate a (value, dlogits) logit loss, and backprop.
 
-    Returns (loss value, gradient dict). Raises NumericalError naming the
-    offending quantity if the loss or any gradient array is non-finite.
+    Returns (loss value, gradient list in params(model, wrt) order). Raises
+    NumericalError naming the offending quantity if the loss or any gradient
+    array is non-finite.
     """
     _, cache = forward_cached(model, inputs, mode, update_stats=update_stats)
     value, dlogits = logit_loss(cache.logits)
     if not np.isfinite(value):
         raise NumericalError("loss value is not finite")
     grads = backward(model, cache, dlogits, wrt=wrt)
-    for name, g in grads.items():
+    for k, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
+            name = _param_names(model, wrt)[k]
             raise NumericalError(f"non-finite gradient for {name}")
     return value, grads
 
@@ -363,7 +340,6 @@ def pretrain(model, inputs, labels, epochs, lr, seed, batch_size=64):
     if np.any(y < 0) or np.any(y >= model.num_classes):
         raise ValueError("label out of range")
     rng = np.random.default_rng(seed)
-    names = all_param_names(model)
     for epoch in range(epochs):
         perm = rng.permutation(x.shape[0])
         for b, start in enumerate(range(0, x.shape[0], batch_size)):
@@ -382,8 +358,8 @@ def pretrain(model, inputs, labels, epochs, lr, seed, batch_size=64):
                 )
             except NumericalError as exc:
                 raise NumericalError(f"epoch {epoch} batch {b}: {exc}") from exc
-            params = get_params(model, names)
-            set_params(model, {n: params[n] - lr * grads[n] for n in names})
+            for p, g in zip(params(model, "all"), grads):
+                p -= lr * g
     return model
 
 

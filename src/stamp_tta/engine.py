@@ -287,7 +287,6 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         "num_normal": ms.num_normal,
         "num_outlier": ms.num_outlier,
         "h_thr": state.h_thr,
-        "delta_thr": state.h_thr,
         "rejected_fraction": float(rejected.mean()),
         "metrics": {"acc": ms.acc, "auc": ms.auc, "h_score": ms.h},
         "config": cfg_echo,

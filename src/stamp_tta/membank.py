@@ -21,14 +21,15 @@ from .errors import ConfigError
 
 @dataclass
 class FilterVerdict:
-    """Outcome of the two admission filters for one sample, or a batch of them.
+    """Outcome of the two admission filters for each row of a batch.
 
-    For a batch the fields are per-row arrays and admitted is a boolean mask.
+    Every field is a per-row array; admitted is the boolean mask of rows
+    that pass both filters.
     """
 
-    consistent: bool
-    confident: bool
-    entropy: float
+    consistent: np.ndarray
+    confident: np.ndarray
+    entropy: np.ndarray
 
     @property
     def admitted(self):
@@ -36,24 +37,21 @@ class FilterVerdict:
 
 
 def filter_masks(avg_probs, source_probs, h_thr):
-    """Evaluate the admission filters for one sample or for each row of a batch.
+    """Evaluate the admission filters for each row of an (n, C) batch.
 
     avg_probs is the augmentation-averaged prediction, source_probs the
     frozen source model's prediction on the raw sample. Consistency requires
     equal argmax (ties broken by lowest index on both sides); confidence
-    requires entropy(avg_probs) strictly below h_thr. Vectors give a scalar
-    verdict, (n, C) matrices a verdict of length-n arrays.
+    requires entropy(avg_probs) strictly below h_thr.
     """
     p = np.asarray(avg_probs, dtype=np.float64)
     q = np.asarray(source_probs, dtype=np.float64)
-    if p.shape != q.shape or p.ndim not in (1, 2):
-        raise ValueError("avg_probs and source_probs must be equal-shape vectors or matrices")
+    if p.shape != q.shape or p.ndim != 2:
+        raise ValueError("avg_probs and source_probs must be equal-shape (n, C) matrices")
     if h_thr <= 0:
         raise ConfigError("h_thr must be positive")
     h = losses.entropy(p)
-    consistent = np.argmax(p, axis=-1) == np.argmax(q, axis=-1)
-    if p.ndim == 1:
-        return FilterVerdict(bool(consistent), bool(h < h_thr), float(h))
+    consistent = np.argmax(p, axis=1) == np.argmax(q, axis=1)
     return FilterVerdict(consistent=consistent, confident=h < h_thr, entropy=h)
 
 

@@ -1,13 +1,16 @@
 """Optimization pieces: cosine step decay, SGD, and sharpness-aware steps.
 
-The SAM step works on an abstract parameter dict plus a gradient oracle, so
-the same code path serves both the network (via diffnet.grad) and the scalar
-hand-trace checks. The perturbation radius is applied along the joint L2
-direction of the first gradient across every adaptable tensor.
+The SGD and SAM steps work on a list of parameter arrays plus a gradient
+oracle that returns gradients in the same order, so the same code path serves
+both the network (via diffnet.grad) and the scalar hand-trace checks. The
+perturbation radius is applied along the joint L2 direction of the first
+gradient across every adaptable tensor. The model updates write each
+candidate into the model's own arrays, in place.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -62,92 +65,79 @@ class SamConfig:
 
 
 def _check_grads(grads, where):
-    for name, g in grads.items():
+    for k, g in enumerate(grads):
         if not np.all(np.isfinite(np.asarray(g))):
-            raise NumericalError(f"non-finite gradient for {name} during {where}")
+            raise NumericalError(f"non-finite gradient {k} during {where}")
 
 
 def sgd_step(params, grad_fn, lr):
-    """One plain gradient step. grad_fn maps a param dict to (loss, grads).
+    """One plain gradient step. grad_fn maps a param list to (loss, grads).
 
     Returns (new params, loss at the starting point). Inputs are not mutated.
     """
     loss, grads = grad_fn(params)
     _check_grads(grads, "sgd step")
-    return {k: params[k] - lr * grads[k] for k in params}, loss
+    return [p - lr * g for p, g in zip(params, grads)], loss
 
 
 def sam_step(params, grad_fn, sam_cfg, lr):
     """One sharpness-aware step: ascend to the worst nearby point, step from there.
 
     First gradient g1 defines the perturbation eps = rho * g1 / ||g1||_2 with
-    the norm taken jointly over all tensors. The loss is re-evaluated at
-    params + eps and that second gradient g2 drives the descent from the
-    unperturbed parameters. If ||g1|| is at or below the norm floor the
-    perturbation is skipped and g1 is applied directly.
+    the norm taken jointly over all tensors, summed tensor by tensor in list
+    order. The loss is re-evaluated at params + eps and that second gradient
+    g2 drives the descent from the unperturbed parameters. If ||g1|| is at or
+    below the norm floor the perturbation is skipped and g1 is applied
+    directly.
     """
     sam_cfg.validate()
     loss, g1 = grad_fn(params)
     _check_grads(g1, "sam ascent")
     sq = 0.0
-    for g in g1.values():
+    for g in g1:
         sq += float(np.sum(np.square(g)))
     norm = math.sqrt(sq)
     if norm <= sam_cfg.norm_floor:
-        return {k: params[k] - lr * g1[k] for k in params}, loss
+        return [p - lr * g for p, g in zip(params, g1)], loss
     scale = sam_cfg.rho / norm
-    perturbed = {k: params[k] + scale * g1[k] for k in params}
+    perturbed = [p + scale * g for p, g in zip(params, g1)]
     _, g2 = grad_fn(perturbed)
     _check_grads(g2, "sam descent")
-    return {k: params[k] - lr * g2[k] for k in params}, loss
+    return [p - lr * g for p, g in zip(params, g2)], loss
 
 
-def _model_grad_fn(model, inputs, mode, logit_loss, update_stats):
-    """Gradient oracle over the model's adaptable parameters.
+def _update_in_place(model, step, inputs, mode, logit_loss, update_stats):
+    """Run step(params, grad_fn) from a copy of the adaptable parameters.
 
+    The gradient oracle writes each candidate into the model's own arrays
+    before evaluating it, and the step's result is written there last.
     Running statistics, when requested, are folded in on the first evaluation
     only; the SAM re-evaluation at the perturbed point must not double-count
-    the batch.
+    the batch. Returns the loss at the starting point.
     """
-    state = {"update_stats": update_stats}
 
-    def grad_fn(params):
-        diffnet.set_params(model, params)
+    def grad_fn(candidate):
+        nonlocal update_stats
+        diffnet.set_params(model, candidate)
         value, grads = diffnet.grad(
-            model,
-            inputs,
-            mode,
-            logit_loss,
-            wrt="adaptable",
-            update_stats=state["update_stats"],
+            model, inputs, mode, logit_loss, wrt="adaptable", update_stats=update_stats
         )
-        state["update_stats"] = False
+        update_stats = False
         return value, grads
 
-    return grad_fn
+    start = [p.copy() for p in diffnet.params(model, "adaptable")]
+    new_params, loss = step(start, grad_fn)
+    diffnet.set_params(model, new_params)
+    return loss
 
 
 def sgd_update(model, inputs, mode, logit_loss, lr, update_stats=False):
     """In-place SGD step on the model's adaptable parameters; returns the loss."""
-    names = diffnet.adaptable_params(model)
-    params = diffnet.get_params(model, names)
-    new_params, loss = sgd_step(
-        params, _model_grad_fn(model, inputs, mode, logit_loss, update_stats), lr
-    )
-    diffnet.set_params(model, new_params)
-    return loss
+    step = functools.partial(sgd_step, lr=lr)
+    return _update_in_place(model, step, inputs, mode, logit_loss, update_stats)
 
 
 def sam_update(model, inputs, mode, logit_loss, sam_cfg, lr, update_stats=False):
-    """In-place sharpness-aware step on the adaptable parameters; returns the loss.
-
-    The gradient oracle writes candidate parameters into the model before each
-    evaluation, so the final set_params restores the descent result.
-    """
-    names = diffnet.adaptable_params(model)
-    params = diffnet.get_params(model, names)
-    new_params, loss = sam_step(
-        params, _model_grad_fn(model, inputs, mode, logit_loss, update_stats), sam_cfg, lr
-    )
-    diffnet.set_params(model, new_params)
-    return loss
+    """In-place sharpness-aware step on the adaptable parameters; returns the loss."""
+    step = functools.partial(sam_step, sam_cfg=sam_cfg, lr=lr)
+    return _update_in_place(model, step, inputs, mode, logit_loss, update_stats)

@@ -38,25 +38,42 @@ def min_abs_preactivation(model, inputs, mode):
     return worst
 
 
-def fd_param_gradient(model, names, inputs, mode, loss_fn, step=1e-5):
-    """Central finite differences of the loss w.r.t. named parameters."""
-    base = diffnet.get_params(model, names)
-    out = {}
-    for name in names:
-        fd = np.zeros_like(base[name])
-        work = base[name].copy()
+def param_slots(model, wrt):
+    """(owner, attribute) of each parameter, from a walk over model.layers
+    that does not go through diffnet.params: layer ascending, then weight,
+    bias, gamma, beta ("adaptable" keeps only gamma and beta)."""
+    slots = []
+    for layer in model.layers:
+        if wrt == "all":
+            slots += [(layer, "weight"), (layer, "bias")]
+        if layer.bn is not None:
+            slots += [(layer.bn, "gamma"), (layer.bn, "beta")]
+    return slots
+
+
+def fd_param_gradient(model, wrt, inputs, mode, loss_fn, step=1e-5):
+    """Central finite differences of the loss w.r.t. each parameter, as a list.
+
+    Each perturbed value is a fresh array set on the layer (or its batch
+    norm) by attribute, and the original array object is put back after.
+    """
+    out = []
+    for owner, attr in param_slots(model, wrt):
+        base = getattr(owner, attr)
+        fd = np.zeros_like(base)
+        work = base.copy()
         flat = work.ravel()
         for j in range(flat.size):
             orig = flat[j]
             for sign in (1.0, -1.0):
                 flat[j] = orig + sign * step
-                diffnet.set_params(model, {name: work})
+                setattr(owner, attr, work.copy())
                 _, cache = diffnet.forward_cached(model, inputs, mode)
                 value, _ = loss_fn(cache.logits)
                 fd.ravel()[j] += sign * value / (2.0 * step)
             flat[j] = orig
-        diffnet.set_params(model, {name: base[name]})
-        out[name] = fd
+        setattr(owner, attr, base)
+        out.append(fd)
     return out
 
 
@@ -74,10 +91,10 @@ def fd_logit_gradient(value_fn, logits, step=1e-6):
 
 
 def joint_rel_err(analytic, reference):
-    """Relative error of concatenated gradient vectors."""
-    if isinstance(analytic, dict):
-        a = np.concatenate([np.ravel(analytic[k]) for k in sorted(analytic)])
-        b = np.concatenate([np.ravel(reference[k]) for k in sorted(reference)])
+    """Relative error of concatenated gradient vectors; lists join in order."""
+    if isinstance(analytic, list):
+        a = np.concatenate([np.ravel(g) for g in analytic])
+        b = np.concatenate([np.ravel(g) for g in reference])
     else:
         a, b = np.ravel(analytic), np.ravel(reference)
     return float(np.linalg.norm(a - b) / (np.linalg.norm(a) + np.linalg.norm(b) + 1e-300))

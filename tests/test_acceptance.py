@@ -89,14 +89,13 @@ def test_criterion_01_gradient_correctness():
     for i in range(instances):
         model, x = _random_instance(i)
         h_thr = 0.8 * math.log(model.num_classes)
-        names = diffnet.adaptable_params(model)
         _, base_cache = diffnet.forward_cached(model, x, ForwardMode.BATCH_STATS)
         for strategy in LOSS_VARIANTS:
             objective = losses.make_entropy_objective(strategy, h_thr=h_thr)
             _, analytic = diffnet.grad(model, x, ForwardMode.BATCH_STATS, objective)
             fd = fd_param_gradient(
                 model,
-                names,
+                "adaptable",
                 x,
                 ForwardMode.BATCH_STATS,
                 _fd_target(strategy, h_thr, base_cache.logits),
@@ -141,25 +140,27 @@ def test_criterion_02_schedule_exactness():
 
 def test_criterion_03_sam_hand_trace():
     def quadratic(params):
-        theta = params["theta"]
-        return float(0.5 * np.sum(theta**2)), {"theta": theta.copy()}
+        (theta,) = params
+        return float(0.5 * np.sum(theta**2)), [theta.copy()]
 
     new, _ = optim.sam_step(
-        {"theta": np.array([1.0])}, quadratic, optim.SamConfig(rho=0.1), lr=0.5
+        [np.array([1.0])], quadratic, optim.SamConfig(rho=0.1), lr=0.5
     )
-    trace_err = abs(float(new["theta"][0]) - 0.45)
+    trace_err = abs(float(new[0][0]) - 0.45)
 
     # rho=0 must reproduce plain SGD bit for bit, on the abstract step and on
     # a real model update alike
-    params = {"a": np.linspace(-1.0, 2.0, 7), "b": np.array([[0.3, -0.4]])}
+    params = [np.linspace(-1.0, 2.0, 7), np.array([[0.3, -0.4]])]
 
     def wavy(p):
-        value = float(sum(np.sin(v).sum() for v in p.values()))
-        return value, {k: np.cos(v) for k, v in p.items()}
+        value = float(sum(np.sin(v).sum() for v in p))
+        return value, [np.cos(v) for v in p]
 
-    sam0, _ = optim.sam_step(dict(params), wavy, optim.SamConfig(rho=0.0), lr=0.7)
-    sgd0, _ = optim.sgd_step(dict(params), wavy, lr=0.7)
-    bit_exact = all(sam0[k].tobytes() == sgd0[k].tobytes() for k in params)
+    sam0, _ = optim.sam_step(list(params), wavy, optim.SamConfig(rho=0.0), lr=0.7)
+    sgd0, _ = optim.sgd_step(list(params), wavy, lr=0.7)
+    bit_exact = len(sam0) == len(sgd0) == len(params) and all(
+        a.tobytes() == b.tobytes() for a, b in zip(sam0, sgd0)
+    )
 
     from conftest import make_random_model
 
@@ -171,9 +172,8 @@ def test_criterion_03_sam_hand_trace():
         m_sam, x, ForwardMode.BATCH_STATS, objective, optim.SamConfig(rho=0.0), lr=0.2
     )
     optim.sgd_update(m_sgd, x, ForwardMode.BATCH_STATS, objective, lr=0.2)
-    names = diffnet.adaptable_params(m_sam)
-    pa, pb = diffnet.get_params(m_sam, names), diffnet.get_params(m_sgd, names)
-    bit_exact = bit_exact and all(pa[k].tobytes() == pb[k].tobytes() for k in names)
+    pa, pb = diffnet.params(m_sam), diffnet.params(m_sgd)
+    bit_exact = bit_exact and all(a.tobytes() == b.tobytes() for a, b in zip(pa, pb))
 
     ok = trace_err <= 1e-12 and bit_exact
     line = report(
@@ -208,14 +208,14 @@ def test_criterion_04_memory_invariants():
             if rng.random() < 0.2:
                 q = p[::-1].copy()
             h_thr = float(rng.uniform(0.05, math.log(num_classes) + 0.2))
-            verdict = membank.filter_masks(p, q, h_thr)
+            verdict = membank.filter_masks(p[None], q[None], h_thr)
             h_direct = float(-(p * np.log(np.maximum(p, 1e-300))).sum())
             want_admit = (int(np.argmax(p)) == int(np.argmax(q))) and (
                 h_direct < h_thr
             )
-            if verdict.admitted != want_admit:
+            if verdict.admitted[0] != want_admit:
                 violations += 1
-            if not verdict.admitted:
+            if not verdict.admitted[0]:
                 continue
             label = int(np.argmax(p))
             feats = rng.normal(0.0, 1.0, 2)

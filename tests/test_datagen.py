@@ -131,7 +131,7 @@ class TestCorrupt:
 
 class TestAugmentViews:
     def test_shape_and_determinism(self):
-        x = np.array([4.0, 0.0])
+        x = np.array([[4.0, 0.0]])
         a = datagen.augment_views(x, 16, 1.0, seed=0, sample_id=5)
         b = datagen.augment_views(x, 16, 1.0, seed=0, sample_id=5)
         assert a.shape == (16, 2)
@@ -142,7 +142,7 @@ class TestAugmentViews:
         assert not np.array_equal(a, d)
 
     def test_strength_zero_returns_copies(self):
-        x = np.array([1.0, 2.0, 3.0])
+        x = np.array([[1.0, 2.0, 3.0]])
         views = datagen.augment_views(x, 4, 0.0, seed=0, sample_id=0)
         assert views.shape == (4, 3)
         assert np.array_equal(views, np.tile(x, (4, 1)))
@@ -150,7 +150,7 @@ class TestAugmentViews:
     def test_views_concentrate_around_input(self):
         # rotations are symmetric around 0 and the noise is zero-mean, so the
         # view average stays near the input (radial shrink factor sin(b)/b)
-        x = np.array([4.0, 0.0])
+        x = np.array([[4.0, 0.0]])
         views = datagen.augment_views(x, 6000, 1.0, seed=2, sample_id=0)
         b = math.radians(10.0)
         expect = np.array([4.0 * math.sin(b) / b, 0.0])
@@ -164,14 +164,16 @@ class TestAugmentViews:
         stack = datagen.augment_views(x, 6, strength, seed=3, sample_id=17)
         assert stack.shape == (batch * 6, input_dim)
         for i in range(batch):
-            one = datagen.augment_views(x[i], 6, strength, seed=3, sample_id=17 + i)
+            one = datagen.augment_views(x[i : i + 1], 6, strength, seed=3, sample_id=17 + i)
             assert np.array_equal(stack[i * 6 : (i + 1) * 6], one)
             ref = reference_augment_views(x[i], 6, strength, seed=3, sample_id=17 + i)
             assert np.array_equal(one, ref)
 
     def test_view_count_validation(self):
         with pytest.raises(ConfigError):
-            datagen.augment_views(np.array([1.0, 0.0]), 0, 1.0, seed=0, sample_id=0)
+            datagen.augment_views(np.array([[1.0, 0.0]]), 0, 1.0, seed=0, sample_id=0)
+        with pytest.raises(ValueError):  # a bare feature vector is not a batch
+            datagen.augment_views(np.array([1.0, 0.0]), 4, 1.0, seed=0, sample_id=0)
 
 
 class TestGenStream:

@@ -10,6 +10,7 @@ from conftest import (
     joint_rel_err,
     make_random_model,
     min_abs_preactivation,
+    param_slots,
 )
 from stamp_tta import datagen, diffnet, losses
 from stamp_tta.diffnet import ForwardMode, Model
@@ -168,42 +169,54 @@ class TestForward:
         assert np.allclose(lc.x_hat, expect, atol=1e-12)
 
 
+def own_arrays_in_layer_order(model, wrt):
+    return [getattr(owner, attr) for owner, attr in param_slots(model, wrt)]
+
+
 class TestParams:
     def test_adaptable_is_bn_only_and_ordered(self):
+        # the model's own arrays, not copies: gamma0, beta0, gamma1, beta1
         m = diffnet.init_model(2, (4, 4), 3, seed=0)
-        assert diffnet.adaptable_params(m) == [
-            "layers.0.bn.gamma",
-            "layers.0.bn.beta",
-            "layers.1.bn.gamma",
-            "layers.1.bn.beta",
-        ]
+        got = diffnet.params(m, "adaptable")
+        expect = own_arrays_in_layer_order(m, "adaptable")
+        assert len(got) == len(expect) == 4
+        assert all(a is b for a, b in zip(got, expect))
+
+    def test_all_is_every_array_in_layer_order(self):
+        m = diffnet.init_model(2, (4, 4), 3, seed=0)
+        got = diffnet.params(m, "all")
+        expect = own_arrays_in_layer_order(m, "all")
+        assert len(got) == len(expect) == 10
+        assert all(a is b for a, b in zip(got, expect))
 
     def test_bn_free_model_rejected(self):
         m = diffnet.init_model(2, (4,), 3, seed=0)
         m.layers[0].bn = None
         with pytest.raises(ConfigError):
-            diffnet.adaptable_params(m)
+            diffnet.params(m)
 
     def test_get_set_round_trip(self):
         m = make_random_model(9)
-        names = diffnet.adaptable_params(m)
-        params = diffnet.get_params(m, names)
-        params["layers.0.bn.gamma"] = params["layers.0.bn.gamma"] + 1.0
-        diffnet.set_params(m, params)
-        assert np.array_equal(
-            diffnet.get_params(m, names)["layers.0.bn.gamma"],
-            params["layers.0.bn.gamma"],
-        )
+        live = diffnet.params(m)
+        values = [p + 1.0 for p in live]
+        diffnet.set_params(m, values)
+        after = diffnet.params(m)
+        assert all(a is b for a, b in zip(after, live))  # written in place
+        assert all(np.array_equal(a, v) for a, v in zip(after, values))
 
     def test_set_params_shape_check(self):
         m = make_random_model(10)
+        values = [p.copy() for p in diffnet.params(m)]
         with pytest.raises(ValueError):
-            diffnet.set_params(m, {"layers.0.bn.gamma": np.zeros(3)})
+            diffnet.set_params(m, [np.zeros(3)] + values[1:])
+        with pytest.raises(ValueError):
+            diffnet.set_params(m, values[:-1])
 
     def test_unknown_parameter_name(self):
+        # the only names left are those of the two parameter sets
         m = make_random_model(11)
-        with pytest.raises(KeyError):
-            diffnet.get_params(m, ["layers.0.bn.delta"])
+        with pytest.raises(ValueError):
+            diffnet.params(m, "bn")
 
 
 class TestBackward:
@@ -222,7 +235,8 @@ class TestBackward:
         else:
             loss_fn = losses.make_entropy_objective(loss_name)
         _, g = diffnet.grad(m, x, mode, loss_fn, wrt="all")
-        fd = fd_param_gradient(m, list(g), x, mode, loss_fn)
+        fd = fd_param_gradient(m, "all", x, mode, loss_fn)
+        assert [a.shape for a in g] == [b.shape for b in fd]
         assert joint_rel_err(g, fd) < 1e-6
 
     @pytest.mark.parametrize("mode", list(ForwardMode))
@@ -236,9 +250,10 @@ class TestBackward:
         loss_fn = losses.make_entropy_objective("self")
         _, g_all = diffnet.grad(m, x, ForwardMode.BATCH_STATS, loss_fn, wrt="all")
         _, g_adapt = diffnet.grad(m, x, ForwardMode.BATCH_STATS, loss_fn, wrt="adaptable")
-        assert set(g_adapt) == set(diffnet.adaptable_params(m))
-        for name in g_adapt:
-            assert np.array_equal(g_adapt[name], g_all[name])
+        # all: w0 b0 gamma0 beta0 w1 b1 gamma1 beta1 w2 b2
+        assert len(g_adapt) == 4 and len(g_all) == 10
+        for a, k in zip(g_adapt, (2, 3, 6, 7)):
+            assert np.array_equal(a, g_all[k])
 
     def test_uniform_output_model_has_zero_gradient(self):
         # zeroed head: logits are identically 0, entropy is flat in every
@@ -249,8 +264,8 @@ class TestBackward:
         x = np.random.default_rng(15).normal(size=(4, 3))
         loss_fn = losses.make_entropy_objective("plain")
         _, g = diffnet.grad(m, x, ForwardMode.BATCH_STATS, loss_fn, wrt="all")
-        for name, arr in g.items():
-            assert np.allclose(arr, 0.0, atol=1e-12), name
+        for k, arr in enumerate(g):
+            assert np.allclose(arr, 0.0, atol=1e-12), k
 
     def test_hidden_bias_gradient_vanishes_under_batch_stats(self):
         # batch normalization removes the batch mean, so a bias shift before
@@ -259,9 +274,10 @@ class TestBackward:
         x = np.random.default_rng(16).normal(size=(5, 3))
         loss_fn = losses.make_entropy_objective("plain")
         _, g = diffnet.grad(m, x, ForwardMode.BATCH_STATS, loss_fn, wrt="all")
-        assert np.allclose(g["layers.0.bias"], 0.0, atol=1e-12)
-        assert np.allclose(g["layers.1.bias"], 0.0, atol=1e-12)
-        assert not np.allclose(g["layers.2.bias"], 0.0, atol=1e-12)
+        layer0_bias, layer1_bias, head_bias = g[1], g[5], g[9]
+        assert np.allclose(layer0_bias, 0.0, atol=1e-12)
+        assert np.allclose(layer1_bias, 0.0, atol=1e-12)
+        assert not np.allclose(head_bias, 0.0, atol=1e-12)
 
     def test_non_finite_loss_raises(self):
         m = make_random_model(17)

@@ -33,12 +33,22 @@ def trained_model():
 
 
 def adaptable_snapshot(model):
-    names = diffnet.adaptable_params(model)
-    return diffnet.get_params(model, names)
+    return [p.copy() for p in diffnet.params(model)]
 
 
 def params_equal(a, b):
-    return all(np.array_equal(a[k], b[k]) for k in a)
+    return all(np.array_equal(x, y) for x, y in zip(a, b, strict=True))
+
+
+def model_arrays(model):
+    """Every array a model holds, trained parameters and running statistics."""
+    out = []
+    for layer in model.layers:
+        out += [layer.weight, layer.bias]
+        if layer.bn is not None:
+            bn = layer.bn
+            out += [bn.gamma, bn.beta, bn.running_mean, bn.running_var]
+    return out
 
 
 class TestAveragedPrediction:
@@ -67,7 +77,7 @@ class TestAveragedPrediction:
             trained_model, x, views=8, strength=1.0, seed=7, first_sample_id=40
         )
         for i in range(3):
-            views = datagen.augment_views(x[i], 8, 1.0, seed=7, sample_id=40 + i)
+            views = datagen.augment_views(x[i : i + 1], 8, 1.0, seed=7, sample_id=40 + i)
             expect = diffnet.forward(
                 trained_model, views, ForwardMode.SOURCE_STATS
             ).mean(axis=0)
@@ -214,6 +224,22 @@ class TestStampStep:
         assert np.allclose(
             state.bank.class_frequency, state.cfg.beta * counts, atol=1e-12
         )
+
+    def test_in_place_updates_reach_only_the_adapted_copy(self, trained_model):
+        caller_before = [a.copy() for a in model_arrays(trained_model)]
+        state = self._state(trained_model)
+        assert state.cfg.use_sam
+        before = adaptable_snapshot(state.model)
+        for seed in range(3):
+            engine.stamp_step(state, self._batch(20 + seed))
+        assert state.sched.step_count == 3
+        assert not params_equal(before, adaptable_snapshot(state.model))
+        for frozen in (state.source, trained_model):
+            for a, b in zip(model_arrays(frozen), caller_before, strict=True):
+                assert a.tobytes() == b.tobytes()
+        for a in model_arrays(state.model):
+            for other in model_arrays(state.source) + model_arrays(trained_model):
+                assert not np.shares_memory(a, other)
 
     def test_schedule_advances_only_on_updates(self, trained_model):
         state = self._state(trained_model)

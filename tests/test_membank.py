@@ -16,39 +16,46 @@ def vec(*vals):
     return np.asarray(vals, dtype=np.float64)
 
 
+def row(*vals):
+    """One probability vector as a one-row batch."""
+    return np.asarray([vals], dtype=np.float64)
+
+
 class TestFilterMasks:
     def test_admitted_needs_both_filters(self):
-        confident = vec(0.9, 0.05, 0.05)
-        v = filter_masks(confident, vec(0.8, 0.1, 0.1), h_thr=0.6)
-        assert v.consistent and v.confident and v.admitted
+        confident = row(0.9, 0.05, 0.05)
+        v = filter_masks(confident, row(0.8, 0.1, 0.1), h_thr=0.6)
+        assert v.consistent[0] and v.confident[0] and v.admitted[0]
 
     def test_disagreement_blocks(self):
-        v = filter_masks(vec(0.9, 0.05, 0.05), vec(0.1, 0.8, 0.1), h_thr=0.6)
-        assert not v.consistent and v.confident and not v.admitted
+        v = filter_masks(row(0.9, 0.05, 0.05), row(0.1, 0.8, 0.1), h_thr=0.6)
+        assert not v.consistent[0] and v.confident[0] and not v.admitted[0]
 
     def test_high_entropy_blocks(self):
-        flat = vec(0.4, 0.35, 0.25)
+        flat = row(0.4, 0.35, 0.25)
         v = filter_masks(flat, flat, h_thr=0.6)
-        assert v.consistent and not v.confident and not v.admitted
+        assert v.consistent[0] and not v.confident[0] and not v.admitted[0]
 
     def test_threshold_is_strict(self):
         # uniform over 4 classes has entropy exactly ln 4; at h_thr = ln 4
         # the strict inequality must reject
-        uniform = np.full(4, 0.25)
+        uniform = np.full((1, 4), 0.25)
         v = filter_masks(uniform, uniform, h_thr=math.log(4))
-        assert not v.confident
-        assert v.entropy == pytest.approx(math.log(4), abs=1e-12)
+        assert not v.confident[0]
+        assert v.entropy[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_argmax_ties_break_low_index(self):
-        tied = vec(0.45, 0.45, 0.10)
-        v = filter_masks(tied, vec(0.9, 0.05, 0.05), h_thr=2.0)
-        assert v.consistent  # both argmaxes resolve to index 0
+        tied = row(0.45, 0.45, 0.10)
+        v = filter_masks(tied, row(0.9, 0.05, 0.05), h_thr=2.0)
+        assert v.consistent[0]  # both argmaxes resolve to index 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            filter_masks(vec(0.5, 0.5), vec(0.3, 0.3, 0.4), h_thr=0.5)
+            filter_masks(row(0.5, 0.5), row(0.3, 0.3, 0.4), h_thr=0.5)
+        with pytest.raises(ValueError):  # a bare vector is not a batch
+            filter_masks(vec(0.5, 0.5), vec(0.5, 0.5), h_thr=0.5)
         with pytest.raises(ConfigError):
-            filter_masks(vec(0.5, 0.5), vec(0.5, 0.5), h_thr=0.0)
+            filter_masks(row(0.5, 0.5), row(0.5, 0.5), h_thr=0.0)
 
     @pytest.mark.parametrize("num_classes", [2, 4])
     def test_batch_masks_match_per_row_verdicts(self, num_classes):
@@ -61,11 +68,11 @@ class TestFilterMasks:
         p[60] = q[60] = np.full(num_classes, 1.0 / num_classes)
         h_thr = math.log(num_classes)
         batch = filter_masks(p, q, h_thr)
-        rows = [filter_masks(p[i], q[i], h_thr) for i in range(len(p))]
-        assert batch.consistent.tolist() == [v.consistent for v in rows]
-        assert batch.confident.tolist() == [v.confident for v in rows]
-        assert batch.admitted.tolist() == [v.admitted for v in rows]
-        assert np.array_equal(batch.entropy, [v.entropy for v in rows])
+        rows = [filter_masks(p[i : i + 1], q[i : i + 1], h_thr) for i in range(len(p))]
+        assert batch.consistent.tolist() == [v.consistent[0] for v in rows]
+        assert batch.confident.tolist() == [v.confident[0] for v in rows]
+        assert batch.admitted.tolist() == [v.admitted[0] for v in rows]
+        assert np.array_equal(batch.entropy, [v.entropy[0] for v in rows])
         assert batch.consistent[60] and not batch.confident[60]  # strict at ln C
         assert batch.consistent.any() and not batch.consistent.all()
         assert batch.confident.any()

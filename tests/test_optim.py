@@ -61,94 +61,95 @@ class TestCosineSchedule:
 
 def quadratic_grad_fn(params):
     # f(theta) = 0.5 * theta^2 summed over entries
-    theta = params["theta"]
-    return float(0.5 * np.sum(theta**2)), {"theta": theta.copy()}
+    (theta,) = params
+    return float(0.5 * np.sum(theta**2)), [theta.copy()]
 
 
 class TestScalarSteps:
     def test_sam_hand_trace_quadratic(self):
         # theta = 1, rho = 0.1, lr = 0.5: ascend to 1.1, descend with slope
         # 1.1, land exactly on 0.45
-        params = {"theta": np.array([1.0])}
+        params = [np.array([1.0])]
         out, loss = optim.sam_step(
             params, quadratic_grad_fn, SamConfig(rho=0.1), lr=0.5
         )
-        assert abs(out["theta"][0] - 0.45) < 1e-12
+        assert abs(out[0][0] - 0.45) < 1e-12
         assert loss == pytest.approx(0.5)
 
     def test_rho_zero_is_sgd_bit_exact(self):
         rng = np.random.default_rng(0)
-        params = {"a": rng.normal(size=5), "b": rng.normal(size=(3, 2))}
+        params = [rng.normal(size=5), rng.normal(size=(3, 2))]
 
         def grad_fn(p):
-            return 0.0, {k: np.sin(v) + 0.3 * v for k, v in p.items()}
+            return 0.0, [np.sin(v) + 0.3 * v for v in p]
 
         sgd, _ = optim.sgd_step(params, grad_fn, lr=0.07)
         sam, _ = optim.sam_step(params, grad_fn, SamConfig(rho=0.0), lr=0.07)
-        for k in params:
-            assert np.array_equal(sgd[k], sam[k])
+        for a, b in zip(sgd, sam, strict=True):
+            assert np.array_equal(a, b)
 
     def test_norm_floor_skips_perturbation(self):
         calls = []
 
         def counting_grad_fn(p):
             calls.append(1)
-            return 0.0, {"theta": np.zeros(3)}
+            return 0.0, [np.zeros(3)]
 
-        params = {"theta": np.ones(3)}
+        params = [np.ones(3)]
         out, _ = optim.sam_step(params, counting_grad_fn, SamConfig(rho=0.05), lr=0.5)
         assert len(calls) == 1  # no second evaluation
-        assert np.array_equal(out["theta"], params["theta"])
+        assert np.array_equal(out[0], params[0])
 
     def test_sam_evaluates_twice_when_gradient_nonzero(self):
         seen = []
 
         def recording_grad_fn(p):
-            seen.append(p["theta"].copy())
+            seen.append(p[0].copy())
             return quadratic_grad_fn(p)
 
-        params = {"theta": np.array([2.0])}
+        params = [np.array([2.0])]
         optim.sam_step(params, recording_grad_fn, SamConfig(rho=0.1), lr=0.1)
         assert len(seen) == 2
         assert seen[1][0] == pytest.approx(2.1, abs=1e-12)  # rho along unit grad
 
     def test_inputs_not_mutated(self):
-        params = {"theta": np.array([1.0, -2.0])}
-        before = params["theta"].copy()
+        params = [np.array([1.0, -2.0])]
+        before = params[0].copy()
         optim.sgd_step(params, quadratic_grad_fn, lr=0.3)
         optim.sam_step(params, quadratic_grad_fn, SamConfig(rho=0.1), lr=0.3)
-        assert np.array_equal(params["theta"], before)
+        assert np.array_equal(params[0], before)
 
     def test_joint_norm_across_tensors(self):
         # gradient (3, 4) across two tensors: joint norm 5, perturbation
         # rho * (3/5, 4/5)
         def grad_fn(p):
-            return 0.0, {"a": np.array([3.0]), "b": np.array([4.0])}
+            return 0.0, [np.array([3.0]), np.array([4.0])]
 
         seen = []
 
         def recording(p):
-            seen.append((p["a"].copy(), p["b"].copy()))
+            seen.append((p[0].copy(), p[1].copy()))
             return grad_fn(p)
 
-        params = {"a": np.array([0.0]), "b": np.array([0.0])}
+        params = [np.array([0.0]), np.array([0.0])]
         optim.sam_step(params, recording, SamConfig(rho=1.0), lr=0.0)
         a, b = seen[1]
         assert a[0] == pytest.approx(0.6, abs=1e-12)
         assert b[0] == pytest.approx(0.8, abs=1e-12)
 
     def test_non_finite_gradient_raises_with_name(self):
+        # a parameter list names its entries by position
         def bad_grad_fn(p):
-            return 0.0, {"theta": np.array([np.nan])}
+            return 0.0, [np.ones(1), np.array([np.nan])]
 
         with pytest.raises(NumericalError) as err:
-            optim.sgd_step({"theta": np.ones(1)}, bad_grad_fn, lr=0.1)
-        assert "theta" in str(err.value)
+            optim.sgd_step([np.ones(1), np.ones(1)], bad_grad_fn, lr=0.1)
+        assert "gradient 1 " in str(err.value)
 
     def test_rho_validation(self):
         with pytest.raises(ConfigError):
             optim.sam_step(
-                {"t": np.ones(1)}, quadratic_grad_fn, SamConfig(rho=-0.1), lr=0.1
+                [np.ones(1)], quadratic_grad_fn, SamConfig(rho=-0.1), lr=0.1
             )
 
 
@@ -166,30 +167,39 @@ class TestModelUpdates:
         optim.sam_update(
             m2, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.0), lr=0.05
         )
-        for name in diffnet.adaptable_params(m1):
-            p1 = diffnet.get_params(m1, [name])[name]
-            p2 = diffnet.get_params(m2, [name])[name]
-            assert np.array_equal(p1, p2), name
+        for k, (p1, p2) in enumerate(zip(diffnet.params(m1), diffnet.params(m2))):
+            assert np.array_equal(p1, p2), k
 
-    def test_updates_touch_only_adaptable_params(self):
+    def test_updates_touch_only_the_bn_arrays(self):
         loss_fn = losses.make_entropy_objective("plain")
         model, x = self._setup(32)
-        frozen_before = {
-            n: diffnet.get_params(model, [n])[n]
-            for n in diffnet.all_param_names(model)
-            if "bn" not in n
-        }
-        adaptable_before = diffnet.get_params(model, diffnet.adaptable_params(model))
+        frozen_before = [
+            a.copy() for layer in model.layers for a in (layer.weight, layer.bias)
+        ]
+        adaptable_before = [p.copy() for p in diffnet.params(model)]
         optim.sam_update(
             model, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.05), lr=0.1
         )
-        for n, arr in frozen_before.items():
-            assert np.array_equal(arr, diffnet.get_params(model, [n])[n]), n
+        frozen_after = [a for layer in model.layers for a in (layer.weight, layer.bias)]
+        for k, (before, after) in enumerate(zip(frozen_before, frozen_after)):
+            assert np.array_equal(before, after), k
         moved = any(
-            not np.array_equal(arr, diffnet.get_params(model, [n])[n])
-            for n, arr in adaptable_before.items()
+            not np.array_equal(before, after)
+            for before, after in zip(adaptable_before, diffnet.params(model))
         )
         assert moved
+
+    def test_update_writes_into_the_models_own_arrays(self):
+        loss_fn = losses.make_entropy_objective("plain")
+        model, x = self._setup(35)
+        live = diffnet.params(model)
+        before = [p.copy() for p in live]
+        optim.sam_update(
+            model, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.05), lr=0.1
+        )
+        after = diffnet.params(model)
+        assert all(a is b for a, b in zip(after, live))
+        assert any(not np.array_equal(a, b) for a, b in zip(after, before))
 
     def test_descends_the_loss(self):
         loss_fn = losses.make_entropy_objective("plain")
