@@ -54,9 +54,9 @@ def _build_config(args, extras):
         overrides.append(m.group(1))
     raw = _load_raw_config(args.config)
     raw = config_mod.apply_overrides(raw, overrides)
-    cfg = config_mod.config_from_dict(raw)
     if args.seed is not None:
-        cfg.seed = args.seed
+        raw["seed"] = args.seed
+    cfg = config_mod.config_from_dict(raw)
     if args.out is not None:
         cfg.output.directory = args.out
     return cfg

@@ -13,11 +13,17 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
+from .datagen import MAX_SEED
 from .errors import ConfigError, ParseError
 
 METHODS = ("source", "bn_stats", "tent", "stamp")
 WEIGHT_STRATEGIES = ("plain", "self", "static", "eata")
 OUTPUT_FORMATS = ("summary", "records", "roc")
+
+
+def _check_seed(key, value):
+    if not 0 <= value <= MAX_SEED:
+        raise ConfigError(f"{key} must lie in [0, {MAX_SEED}], got {value}")
 
 
 @dataclass
@@ -40,6 +46,7 @@ class DataConfig:
             raise ConfigError("data.val_fraction must lie in (0, 1)")
         if self.source_size < self.num_classes:
             raise ConfigError("data.source_size must cover every class")
+        _check_seed("data.source_seed", self.source_seed)
         return self
 
 
@@ -64,6 +71,7 @@ class ModelConfig:
             raise ConfigError("model.lr must be positive")
         if not 0.0 <= self.accuracy_floor <= 1.0:
             raise ConfigError("model.accuracy_floor must lie in [0, 1]")
+        _check_seed("model.seed", self.seed)
         return self
 
 
@@ -141,6 +149,7 @@ class ExperimentConfig:
     seed: int = 0
 
     def validate(self):
+        _check_seed("seed", self.seed)
         self.data.validate()
         self.model.validate()
         self.method.validate()

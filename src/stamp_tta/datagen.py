@@ -5,7 +5,10 @@ radius 4 in the first two coordinates (sigma 0.5). A test stream corrupts
 that geometry at a given severity and mixes in label-free outliers, either
 fresh clusters at the unused angles (held-out-class) or uniform background
 noise over the source bounding box. Everything is driven by explicit seeds
-through numpy SeedSequence, so regeneration is exact.
+through numpy SeedSequence, so regeneration is exact. Augmentation views
+draw from the PCG64 state SeedSequence((seed, 13, sample_id)) gives each
+sample; augment_views computes numpy's SeedSequence hash for a whole batch
+at once instead of building one SeedSequence per sample.
 """
 
 from __future__ import annotations
@@ -32,6 +35,19 @@ OUTLIER_MODES = ("held-out-class", "background-uniform")
 _TAG_STREAM = 11
 _TAG_CORRUPT = 12
 _TAG_AUG = 13
+
+# Seeds are one uint32 word of SeedSequence entropy, which is what lets
+# augment_views hash a whole batch with a fixed word layout.
+MAX_SEED = 2**32 - 1
+
+# numpy's SeedSequence pool hash (hashmix, mix and generate_state in
+# numpy/random/bit_generator.pyx, pool size 4) and PCG64's LCG multiplier.
+_INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
+_INIT_B, _MULT_B = 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R = 0xCA01F9DD, 0x4973F715
+_PCG64_MULT = (2549297995355413924 << 64) + 4865540595714422341
+_MASK32 = 2**32 - 1
+_MASK128 = 2**128 - 1
 
 
 def class_centroids(num_classes, input_dim):
@@ -122,6 +138,49 @@ def corrupt(x, severity, seed, components=None):
     return out[0] if single else out
 
 
+def _hash_constants(init, mult, n):
+    """The first n values of a hash constant, one per row: init * mult**k mod 2**32."""
+    return np.array([init * pow(mult, k, 2**32) & _MASK32 for k in range(n)], np.uint32)[:, None]
+
+
+def _hashmix(value, xor_const, mult_const):
+    value = (value ^ xor_const) * mult_const
+    return value ^ (value >> 16)
+
+
+def _pcg64_states(seed, first_id, b):
+    """PCG64 states of SeedSequence((seed, 13, id)) for ids first_id .. first_id + b - 1.
+
+    The entropy words are [seed, 13, id_lo, id_hi]; a zero word hashes like
+    an absent one, so one layout serves every id below 2**64 while the seed
+    fits one word. Each step of numpy's hash runs on uint32 rows across the
+    batch: the src-th mixing round touches the three other pool words with
+    the same hashed src word, so they are one (3, b) operation. The eight
+    output words form PCG64's (initstate, initseq), and its seeding (two
+    128-bit LCG steps) runs on Python ints.
+    """
+    ids = np.arange(first_id, first_id + b, dtype=np.uint64)
+    pool = np.empty((4, b), dtype=np.uint32)
+    pool[0], pool[1], pool[2], pool[3] = seed, _TAG_AUG, ids & _MASK32, ids >> 32
+    hash_a = _hash_constants(_INIT_A, _MULT_A, 17)
+    pool = _hashmix(pool, hash_a[0:4], hash_a[1:5])
+    for src in range(4):
+        dst = [i for i in range(4) if i != src]
+        k = 4 + 3 * src
+        hashed = _hashmix(pool[src], hash_a[k : k + 3], hash_a[k + 1 : k + 4])
+        mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
+        pool[dst] = mixed ^ (mixed >> 16)
+    hash_b = _hash_constants(_INIT_B, _MULT_B, 9)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], hash_b[:8], hash_b[1:]).astype(np.uint64)
+    states = []
+    for hi, lo, inc_hi, inc_lo in zip(*(words[1::2] << 32 | words[0::2]).tolist()):
+        inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128
+        state = ((inc + (hi << 64 | lo)) * _PCG64_MULT + inc) & _MASK128
+        pcg = {"state": state, "inc": inc}
+        states.append({"bit_generator": "PCG64", "state": pcg, "has_uint32": 0, "uinteger": 0})
+    return states
+
+
 def augment_views(x, num_views, strength, seed, sample_id):
     """num_views randomized views of each sample for prediction averaging.
 
@@ -129,16 +188,23 @@ def augment_views(x, num_views, strength, seed, sample_id):
     adds isotropic Gaussian noise with sigma strength * 0.05. x is a (b, d)
     batch whose row i is sample sample_id + i; the result is the
     (b * num_views, d) stack with each sample's views contiguous. Every
-    sample draws from its own generator seeded by (seed, sample_id), so a
-    row's views do not depend on the batch it arrives in; strength 0
-    short-circuits to exact copies.
+    sample draws from its own PCG64 state, the one
+    default_rng(SeedSequence((seed, 13, sample_id + i))) starts from, so a
+    row's views do not depend on the batch it arrives in; the states of the
+    whole batch come from one hash (_pcg64_states) and are set in turn into
+    one generator. The seed must lie in [0, 2**32 - 1] and the sample ids
+    below 2**64. Strength 0 short-circuits to exact copies.
     """
     if num_views < 1:
         raise ConfigError("num_views must be >= 1")
+    if not 0 <= seed <= MAX_SEED:
+        raise ConfigError(f"augmentation seed must lie in [0, {MAX_SEED}], got {seed}")
     rows = np.asarray(x, dtype=np.float64)
     if rows.ndim != 2:
         raise ValueError("augment_views expects a (b, d) batch")
     b, d = rows.shape
+    if sample_id < 0 or sample_id + b > 2**64:
+        raise ValueError("sample ids must lie in [0, 2**64)")
     if strength == 0:
         return np.repeat(rows, num_views, axis=0)
     if d < 2:
@@ -147,8 +213,10 @@ def augment_views(x, num_views, strength, seed, sample_id):
     sigma = strength * AUG_SIGMA_PER_STRENGTH
     angles = np.empty((b, num_views))
     noise = np.empty((b, num_views, d))
-    for i in range(b):
-        rng = np.random.default_rng(np.random.SeedSequence((seed, _TAG_AUG, sample_id + i)))
+    bit_gen = np.random.PCG64()  # its state is replaced before every draw
+    rng = np.random.Generator(bit_gen)
+    for i, state in enumerate(_pcg64_states(seed, sample_id, b)):
+        bit_gen.state = state
         angles[i] = rng.uniform(-half, half, size=num_views)
         noise[i] = rng.normal(0.0, sigma, size=(num_views, d))
     out = np.repeat(rows, num_views, axis=0)

@@ -144,7 +144,7 @@ def stamp_step(state, inputs):
     if m.use_memory and state.bank is not None:
         if m.use_filtering:
             source_probs = diffnet.forward(state.source, x, ForwardMode.SOURCE_STATS)
-            verdict = membank.filter_masks(probs, source_probs, state.h_thr)
+            verdict = membank.filter_masks(probs, source_probs, state.h_thr, scores)
             admitted = np.flatnonzero(verdict.admitted)
         else:
             admitted = range(x.shape[0])

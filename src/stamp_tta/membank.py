@@ -15,7 +15,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import losses
 from .errors import ConfigError
 
 
@@ -36,21 +35,25 @@ class FilterVerdict:
         return self.consistent & self.confident
 
 
-def filter_masks(avg_probs, source_probs, h_thr):
+def filter_masks(avg_probs, source_probs, h_thr, entropy):
     """Evaluate the admission filters for each row of an (n, C) batch.
 
     avg_probs is the augmentation-averaged prediction, source_probs the
-    frozen source model's prediction on the raw sample. Consistency requires
-    equal argmax (ties broken by lowest index on both sides); confidence
-    requires entropy(avg_probs) strictly below h_thr.
+    frozen source model's prediction on the raw sample, and entropy the
+    per-row entropy of avg_probs, which the caller has already computed as
+    the outlier score. Consistency requires equal argmax (ties broken by
+    lowest index on both sides); confidence requires the entropy strictly
+    below h_thr.
     """
     p = np.asarray(avg_probs, dtype=np.float64)
     q = np.asarray(source_probs, dtype=np.float64)
     if p.shape != q.shape or p.ndim != 2:
         raise ValueError("avg_probs and source_probs must be equal-shape (n, C) matrices")
+    h = np.asarray(entropy, dtype=np.float64)
+    if h.shape != p.shape[:1]:
+        raise ValueError("entropy must hold one value per row of avg_probs")
     if h_thr <= 0:
         raise ConfigError("h_thr must be positive")
-    h = losses.entropy(p)
     consistent = np.argmax(p, axis=1) == np.argmax(q, axis=1)
     return FilterVerdict(consistent=consistent, confident=h < h_thr, entropy=h)
 

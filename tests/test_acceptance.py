@@ -208,7 +208,7 @@ def test_criterion_04_memory_invariants():
             if rng.random() < 0.2:
                 q = p[::-1].copy()
             h_thr = float(rng.uniform(0.05, math.log(num_classes) + 0.2))
-            verdict = membank.filter_masks(p[None], q[None], h_thr)
+            verdict = membank.filter_masks(p[None], q[None], h_thr, losses.entropy(p[None]))
             h_direct = float(-(p * np.log(np.maximum(p, 1e-300))).sum())
             want_admit = (int(np.argmax(p)) == int(np.argmax(q))) and (
                 h_direct < h_thr

@@ -187,6 +187,17 @@ class TestErrors:
         assert rc == 2
         assert key in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key", ["seed", "data.source_seed", "model.seed"])
+    @pytest.mark.parametrize("value", [-1, 2**32])
+    def test_seed_outside_one_word_rejected(self, tmp_path, capsys, key, value):
+        cfg = tiny_config(tmp_path)
+        rc = cli.main(
+            ["run", "--config", str(cfg), "--out", str(tmp_path / "o"), f"--{key}={value}"]
+        )
+        assert rc == 2
+        assert f"error: {key} must lie in [0, {2**32 - 1}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_numeric_checkpoint_rejected(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         rc = cli.main(

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import reference_augment_views
 from stamp_tta import datagen
@@ -174,6 +176,78 @@ class TestAugmentViews:
             datagen.augment_views(np.array([[1.0, 0.0]]), 0, 1.0, seed=0, sample_id=0)
         with pytest.raises(ValueError):  # a bare feature vector is not a batch
             datagen.augment_views(np.array([1.0, 0.0]), 4, 1.0, seed=0, sample_id=0)
+
+    @pytest.mark.parametrize("seed", [-1, 2**32])
+    def test_seed_outside_one_word_rejected(self, seed):
+        with pytest.raises(ConfigError, match="seed"):
+            datagen.augment_views(np.array([[1.0, 0.0]]), 4, 1.0, seed=seed, sample_id=0)
+
+    @pytest.mark.parametrize("sample_id", [-1, 2**64 - 1])
+    def test_sample_ids_outside_64_bits_rejected(self, sample_id):
+        x = np.zeros((2, 2))  # from 2**64 - 1 the second row would be id 2**64
+        with pytest.raises(ValueError, match="sample ids"):
+            datagen.augment_views(x, 4, 1.0, seed=0, sample_id=sample_id)
+
+
+class TestBatchSeeding:
+    """The batch hash must reproduce numpy's own SeedSequence -> PCG64 seeding.
+
+    A numpy release that changes either algorithm fails here instead of
+    silently shifting every augmented view.
+    """
+
+    WINDOWS = (0, 2**31 - 4, 2**32 - 4, 2**64 - 8)  # 8 ids from each start
+
+    @staticmethod
+    def numpy_states(seed, first_id, b):
+        return [
+            np.random.PCG64(np.random.SeedSequence((seed, datagen._TAG_AUG, first_id + i))).state
+            for i in range(b)
+        ]
+
+    @pytest.mark.parametrize("seed", [0, 1, 13, 2**31, 2**32 - 1])
+    @pytest.mark.parametrize("first_id", WINDOWS)
+    def test_states_match_numpy_around_word_boundaries(self, seed, first_id):
+        got = datagen._pcg64_states(seed, first_id, 8)
+        assert got == self.numpy_states(seed, first_id, 8)
+
+    def test_states_match_numpy_for_random_seeds_and_ids(self):
+        rng = np.random.default_rng(20261018)
+        for seed in rng.integers(0, 2**32, size=24).tolist():
+            first_id = int(rng.integers(0, 2**63))
+            assert datagen._pcg64_states(seed, first_id, 4) == self.numpy_states(
+                seed, first_id, 4
+            )
+            for start in self.WINDOWS:
+                assert datagen._pcg64_states(seed, start, 8) == self.numpy_states(
+                    seed, start, 8
+                )
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    b=st.integers(1, 70),
+    num_views=st.integers(1, 16),
+    input_dim=st.integers(2, 5),
+    strength=st.sampled_from([0.0, 0.3, 3.5]),
+    seed=st.integers(0, 2**32 - 1),
+    first_id=st.one_of(
+        st.integers(0, 1000),
+        st.integers(2**32 - 70, 2**32 + 70),  # batches straddling 2**32
+        st.integers(0, 2**64 - 70),
+    ),
+    data_seed=st.integers(0, 2**31 - 1),
+)
+def test_augment_views_matches_reference(
+    b, num_views, input_dim, strength, seed, first_id, data_seed
+):
+    """Every sample's views equal the per-sample SeedSequence oracle, bit for bit."""
+    x = np.random.default_rng(data_seed).normal(size=(b, input_dim)) * 3
+    stack = datagen.augment_views(x, num_views, strength, seed, first_id)
+    assert stack.shape == (b * num_views, input_dim)
+    for i in range(b):
+        ref = reference_augment_views(x[i], num_views, strength, seed, first_id + i)
+        assert np.array_equal(stack[i * num_views : (i + 1) * num_views], ref)
 
 
 class TestGenStream:

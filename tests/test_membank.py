@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import ReferenceBank
 from stamp_tta.errors import ConfigError
+from stamp_tta.losses import entropy
 from stamp_tta.membank import MemoryBank, filter_masks
 
 
@@ -21,41 +22,48 @@ def row(*vals):
     return np.asarray([vals], dtype=np.float64)
 
 
+def masks(p, q, h_thr):
+    """filter_masks with the entropy of p, as stamp_step passes its scores."""
+    return filter_masks(p, q, h_thr, entropy(p))
+
+
 class TestFilterMasks:
     def test_admitted_needs_both_filters(self):
         confident = row(0.9, 0.05, 0.05)
-        v = filter_masks(confident, row(0.8, 0.1, 0.1), h_thr=0.6)
+        v = masks(confident, row(0.8, 0.1, 0.1), h_thr=0.6)
         assert v.consistent[0] and v.confident[0] and v.admitted[0]
 
     def test_disagreement_blocks(self):
-        v = filter_masks(row(0.9, 0.05, 0.05), row(0.1, 0.8, 0.1), h_thr=0.6)
+        v = masks(row(0.9, 0.05, 0.05), row(0.1, 0.8, 0.1), h_thr=0.6)
         assert not v.consistent[0] and v.confident[0] and not v.admitted[0]
 
     def test_high_entropy_blocks(self):
         flat = row(0.4, 0.35, 0.25)
-        v = filter_masks(flat, flat, h_thr=0.6)
+        v = masks(flat, flat, h_thr=0.6)
         assert v.consistent[0] and not v.confident[0] and not v.admitted[0]
 
     def test_threshold_is_strict(self):
         # uniform over 4 classes has entropy exactly ln 4; at h_thr = ln 4
         # the strict inequality must reject
         uniform = np.full((1, 4), 0.25)
-        v = filter_masks(uniform, uniform, h_thr=math.log(4))
+        v = masks(uniform, uniform, h_thr=math.log(4))
         assert not v.confident[0]
         assert v.entropy[0] == pytest.approx(math.log(4), abs=1e-12)
 
     def test_argmax_ties_break_low_index(self):
         tied = row(0.45, 0.45, 0.10)
-        v = filter_masks(tied, row(0.9, 0.05, 0.05), h_thr=2.0)
+        v = masks(tied, row(0.9, 0.05, 0.05), h_thr=2.0)
         assert v.consistent[0]  # both argmaxes resolve to index 0
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            filter_masks(row(0.5, 0.5), row(0.3, 0.3, 0.4), h_thr=0.5)
+            masks(row(0.5, 0.5), row(0.3, 0.3, 0.4), h_thr=0.5)
         with pytest.raises(ValueError):  # a bare vector is not a batch
-            filter_masks(vec(0.5, 0.5), vec(0.5, 0.5), h_thr=0.5)
+            masks(vec(0.5, 0.5), vec(0.5, 0.5), h_thr=0.5)
+        with pytest.raises(ValueError):  # one entropy per row
+            filter_masks(row(0.5, 0.5), row(0.5, 0.5), 0.5, vec(0.6, 0.6))
         with pytest.raises(ConfigError):
-            filter_masks(row(0.5, 0.5), row(0.5, 0.5), h_thr=0.0)
+            masks(row(0.5, 0.5), row(0.5, 0.5), h_thr=0.0)
 
     @pytest.mark.parametrize("num_classes", [2, 4])
     def test_batch_masks_match_per_row_verdicts(self, num_classes):
@@ -67,8 +75,8 @@ class TestFilterMasks:
         q[40:60] = p[40:60, ::-1]
         p[60] = q[60] = np.full(num_classes, 1.0 / num_classes)
         h_thr = math.log(num_classes)
-        batch = filter_masks(p, q, h_thr)
-        rows = [filter_masks(p[i : i + 1], q[i : i + 1], h_thr) for i in range(len(p))]
+        batch = masks(p, q, h_thr)
+        rows = [masks(p[i : i + 1], q[i : i + 1], h_thr) for i in range(len(p))]
         assert batch.consistent.tolist() == [v.consistent[0] for v in rows]
         assert batch.confident.tolist() == [v.confident[0] for v in rows]
         assert batch.admitted.tolist() == [v.admitted[0] for v in rows]
