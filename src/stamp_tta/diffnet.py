@@ -316,13 +316,8 @@ def snapshot_source(model):
     return copy.deepcopy(model)
 
 
-def predict_labels(model, inputs, mode=ForwardMode.SOURCE_STATS):
-    probs = forward(model, inputs, mode)
-    return np.argmax(probs, axis=1)
-
-
 def evaluate_accuracy(model, inputs, labels):
-    preds = predict_labels(model, inputs)
+    preds = np.argmax(forward(model, inputs, ForwardMode.SOURCE_STATS), axis=1)
     return float(np.mean(preds == np.asarray(labels)))
 
 

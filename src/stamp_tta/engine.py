@@ -145,11 +145,9 @@ def stamp_step(state, inputs):
         if m.use_filtering:
             source_probs = diffnet.forward(state.source, x, ForwardMode.SOURCE_STATS)
             verdict = membank.filter_masks(probs, source_probs, state.h_thr, scores)
-            admitted = np.flatnonzero(verdict.admitted)
+            state.bank.insert(x[verdict.admitted], preds[verdict.admitted])
         else:
-            admitted = range(x.shape[0])
-        for i in admitted:
-            state.bank.insert(x[i], preds[i])
+            state.bank.insert(x, preds)
         replay, _ = state.bank.contents()
         if replay.shape[0] >= 2:
             _apply_update(state, replay)

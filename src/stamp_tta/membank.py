@@ -1,16 +1,16 @@
 """Class-balanced replay memory with recency-aware eviction, plus the filters.
 
-The bank stores (feature vector, pseudo-label) pairs under a fixed capacity.
-When full, it discards the oldest stored sample of whichever present class
-has the highest smoothed frequency, so over-represented classes shrink first
-and the stored set drifts toward class balance. Admission is gated by two
-sample filters: agreement between the averaged prediction and the frozen
-source model (consistency) and an entropy ceiling (confidence).
+The bank stores (feature vector, pseudo-label) pairs under a fixed capacity
+and takes each batch's admitted rows in one insert. When full, it discards
+the oldest stored sample of whichever present class has the highest smoothed
+frequency, so over-represented classes shrink first and the stored set
+drifts toward class balance. Admission is gated by two sample filters:
+agreement between the averaged prediction and the frozen source model
+(consistency) and an entropy ceiling (confidence).
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -28,7 +28,6 @@ class FilterVerdict:
 
     consistent: np.ndarray
     confident: np.ndarray
-    entropy: np.ndarray
 
     @property
     def admitted(self):
@@ -55,24 +54,15 @@ def filter_masks(avg_probs, source_probs, h_thr, entropy):
     if h_thr <= 0:
         raise ConfigError("h_thr must be positive")
     consistent = np.argmax(p, axis=1) == np.argmax(q, axis=1)
-    return FilterVerdict(consistent=consistent, confident=h < h_thr, entropy=h)
-
-
-@dataclass
-class MemoryEntry:
-    features: np.ndarray
-    label: int
-    tick: int  # global insertion counter; strictly increasing
+    return FilterVerdict(consistent=consistent, confident=h < h_thr)
 
 
 class MemoryBank:
     """Capacity-bounded replay store; see module docstring for the policy.
 
-    Rows live in fixed-capacity arrays in slot order: an evicted row's slot
-    takes the next insert. Each row carries its insertion tick, and
-    contents() returns the rows in tick order, the order replay sums over.
-    Each class keeps a queue of its slots, oldest first, so its length is
-    the class count and its head is the class's eviction victim.
+    The stored rows live in two arrays kept in insertion order, so the
+    oldest row of a class is its first row in the arrays and contents()
+    is already in the order replay sums over.
     """
 
     def __init__(self, capacity, num_classes, input_dim):
@@ -85,54 +75,56 @@ class MemoryBank:
         self.capacity = int(capacity)
         self.num_classes = int(num_classes)
         self.input_dim = int(input_dim)
-        self._features = np.empty((self.capacity, self.input_dim))
-        self._labels = np.empty(self.capacity, dtype=np.int64)
-        self._ticks = np.empty(self.capacity, dtype=np.int64)
-        self._slots = [deque() for _ in range(self.num_classes)]
-        self._size = 0
+        self._features = np.empty((0, self.input_dim))
+        self._labels = np.empty(0, dtype=np.int64)
         self.class_frequency = np.zeros(self.num_classes)  # smoothed, updated per batch
-        self._tick = 0
 
     def __len__(self):
-        return self._size
+        return self._labels.shape[0]
 
     def class_counts(self):
         """Raw per-class counts of the stored entries."""
-        return np.array([len(q) for q in self._slots], dtype=np.int64)
+        return np.bincount(self._labels, minlength=self.num_classes)
 
-    def insert(self, features, label):
-        """Store one admitted sample; returns the evicted entry or None.
+    def insert(self, features, labels):
+        """Store one batch's admitted rows, in order; returns the number evicted.
 
-        When the bank is full, the victim class is the present class with the
-        highest smoothed frequency (ties to the lowest class index) and the
-        victim is its oldest entry.
+        The result equals inserting the rows one by one: each row that
+        arrives at a full bank evicts the oldest entry of the present class
+        with the highest smoothed frequency (ties to the lowest class index).
+        Rows earlier in the batch count as stored, younger than every entry
+        stored before the call, so they can be evicted by later rows. All
+        checks run before the bank changes.
         """
-        label = int(label)
-        if not 0 <= label < self.num_classes:
+        x = np.asarray(features, dtype=np.float64)
+        y = np.asarray(labels, dtype=np.int64)
+        if x.ndim != 2 or x.shape[1] != self.input_dim:
+            raise ValueError(f"features must be an (n, {self.input_dim}) matrix")
+        if y.shape != x.shape[:1]:
+            raise ValueError("labels must hold one class per row of features")
+        if y.size and (y.min() < 0 or y.max() >= self.num_classes):
             raise ValueError("label out of range")
-        row = np.asarray(features, dtype=np.float64)
-        if row.shape != (self.input_dim,):
-            raise ValueError(f"features must be a vector of length {self.input_dim}")
-        evicted = None
-        if self._size < self.capacity:
-            slot = self._size
-            self._size += 1
-        else:
-            freq = self.class_frequency.tolist()
-            present = (c for c, q in enumerate(self._slots) if q)
-            victim_class = max(present, key=freq.__getitem__)  # first max: lowest index
-            slot = self._slots[victim_class].popleft()
-            evicted = MemoryEntry(
-                features=self._features[slot].copy(),
-                label=victim_class,
-                tick=int(self._ticks[slot]),
-            )
-        self._features[slot] = row
-        self._labels[slot] = label
-        self._ticks[slot] = self._tick
-        self._slots[label].append(slot)
-        self._tick += 1
-        return evicted
+        # class_frequency is fixed within a batch, so one ranking serves every row
+        ranked = np.argsort(-self.class_frequency, kind="stable").tolist()
+        counts = self.class_counts().tolist()
+        dropped = [0] * self.num_classes
+        size = len(self)
+        for label in y.tolist():
+            if size < self.capacity:
+                size += 1
+            else:
+                victim = next(c for c in ranked if counts[c])
+                counts[victim] -= 1
+                dropped[victim] += 1
+            counts[label] += 1
+        all_labels = np.concatenate([self._labels, y])
+        keep = np.ones(all_labels.shape[0], dtype=bool)
+        for c, n in enumerate(dropped):
+            if n:
+                keep[np.flatnonzero(all_labels == c)[:n]] = False
+        self._features = np.concatenate([self._features, x])[keep]
+        self._labels = all_labels[keep]
+        return sum(dropped)
 
     def update_class_frequency(self, beta):
         """Exponential update toward the current counts; runs once per batch.
@@ -142,9 +134,7 @@ class MemoryBank:
         if not 0 < beta <= 1:
             raise ConfigError("beta must lie in (0, 1]")
         self.class_frequency = (1.0 - beta) * self.class_frequency + beta * self.class_counts()
-        return self.class_frequency.copy()
 
     def contents(self):
         """Copies of the stored features and labels, in insertion order."""
-        order = np.argsort(self._ticks[: self._size])
-        return self._features[order], self._labels[order]
+        return self._features.copy(), self._labels.copy()

@@ -19,6 +19,9 @@ import numpy as np
 from . import diffnet
 from .errors import ConfigError, NumericalError
 
+# below this joint norm of the first gradient the SAM step skips its perturbation
+SAM_NORM_FLOOR = 1e-12
+
 
 @dataclass
 class ScheduleState:
@@ -54,13 +57,10 @@ class SamConfig:
     """Sharpness-aware step knobs; rho 0 degenerates to plain SGD."""
 
     rho: float = 0.05
-    norm_floor: float = 1e-12
 
     def validate(self):
         if self.rho < 0:
             raise ConfigError("method.rho must be >= 0")
-        if self.norm_floor <= 0:
-            raise ConfigError("norm_floor must be positive")
         return self
 
 
@@ -87,7 +87,7 @@ def sam_step(params, grad_fn, sam_cfg, lr):
     the norm taken jointly over all tensors, summed tensor by tensor in list
     order. The loss is re-evaluated at params + eps and that second gradient
     g2 drives the descent from the unperturbed parameters. If ||g1|| is at or
-    below the norm floor the perturbation is skipped and g1 is applied
+    below SAM_NORM_FLOOR the perturbation is skipped and g1 is applied
     directly.
     """
     sam_cfg.validate()
@@ -97,7 +97,7 @@ def sam_step(params, grad_fn, sam_cfg, lr):
     for g in g1:
         sq += float(np.sum(np.square(g)))
     norm = math.sqrt(sq)
-    if norm <= sam_cfg.norm_floor:
+    if norm <= SAM_NORM_FLOOR:
         return [p - lr * g for p, g in zip(params, g1)], loss
     scale = sam_cfg.rho / norm
     perturbed = [p + scale * g for p, g in zip(params, g1)]

@@ -130,9 +130,9 @@ def brute_force_auc(scores, outlier):
 class ReferenceBank:
     """Replay of the memory policy with independent bookkeeping.
 
-    Stores (features, label) pairs in arrival order and scans for victims
-    instead of tracking ticks: when full, drop the earliest stored pair of
-    the present class whose smoothed frequency is highest, lowest class
+    Stores (features, label) pairs in arrival order, one row per insert, and
+    scans the list for each victim: when full, drop the earliest stored pair
+    of the present class whose smoothed frequency is highest, lowest class
     index on ties.
     """
 

@@ -219,7 +219,7 @@ def test_criterion_04_memory_invariants():
                 continue
             label = int(np.argmax(p))
             feats = rng.normal(0.0, 1.0, 2)
-            bank.insert(feats, label)
+            bank.insert(feats[None], [label])
             ref.insert(feats, label)
             if len(bank) > capacity:
                 violations += 1

@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from conftest import ReferenceBank
 from stamp_tta import config as config_mod
 from stamp_tta import datagen, diffnet, engine, losses, optim
 from stamp_tta.diffnet import ForwardMode
@@ -224,6 +225,26 @@ class TestStampStep:
         assert np.allclose(
             state.bank.class_frequency, state.cfg.beta * counts, atol=1e-12
         )
+
+    def test_bank_matches_reference_replay_of_each_batch(self, trained_model):
+        state = self._state(trained_model, use_filtering=False)
+        ref = ReferenceBank(state.bank.capacity, state.bank.num_classes)
+        stream = datagen.gen_stream(
+            datagen.StreamConfig(num_classes=4, num_samples=192, batch_size=32, seed=9)
+        )
+        evicting = 0
+        for _, x in stream.batches():
+            full_before = len(ref.items) == ref.capacity
+            preds, _ = engine.stamp_step(state, x)
+            for row, label in zip(x, preds.tolist()):
+                ref.insert(row, label)
+            ref.update_freq(state.cfg.beta)
+            evicting += full_before
+            feats, labels = state.bank.contents()
+            assert labels.tolist() == ref.labels()
+            assert np.array_equal(feats, ref.features())
+            assert state.bank.class_frequency.tolist() == ref.freq
+        assert evicting >= 3  # later batches each turn the bank over
 
     def test_in_place_updates_reach_only_the_adapted_copy(self, trained_model):
         caller_before = [a.copy() for a in model_arrays(trained_model)]
