@@ -9,16 +9,19 @@ pretrained checkpoint, and prints one line per run:
 
 followed by one `all` line that hashes every line above it. Two versions of
 the code whose outputs are byte-identical print identical text, so a `diff`
-of their outputs is the check.
+of their outputs is the check. With `--expect HEX` (the 64 hex digits of a
+known `all` line) the script itself is the check: when the digest differs
+it prints the expected and the actual `all` line to stderr and exits 1.
 
 Usage:
-    python3 scripts/output_digests.py [--config configs/benchmark.json]
+    python3 scripts/output_digests.py [--config configs/benchmark.json] [--expect HEX]
 """
 
 import argparse
 import dataclasses
 import hashlib
 import os
+import re
 import sys
 
 import numpy as np
@@ -78,7 +81,10 @@ def protocol_digests(cfg, model, seeds):
 def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--config", default=benchmark.DEFAULT_CONFIG_PATH)
+    parser.add_argument("--expect", metavar="HEX", help="the expected `all` sha256")
     args = parser.parse_args(argv)
+    if args.expect is not None and not re.fullmatch("[0-9a-f]{64}", args.expect):
+        parser.error("--expect takes the 64 lowercase hex digits of an `all` line")
 
     cfg = benchmark.load_benchmark_config(args.config)
     model, _ = engine.pretrain_source(cfg)
@@ -89,7 +95,12 @@ def main(argv=None):
             line = f"{name} seed={seed} {sha}"
             print(line, flush=True)
             whole.update((line + "\n").encode())
-    print(f"all {whole.hexdigest()}")
+    actual = whole.hexdigest()
+    print(f"all {actual}")
+    if args.expect is not None and args.expect != actual:
+        print(f"expected all {args.expect}", file=sys.stderr)
+        print(f"actual   all {actual}", file=sys.stderr)
+        return 1
     return 0
 
 

@@ -192,8 +192,13 @@ def augment_views(x, num_views, strength, seed, sample_id):
     default_rng(SeedSequence((seed, 13, sample_id + i))) starts from, so a
     row's views do not depend on the batch it arrives in; the states of the
     whole batch come from one hash (_pcg64_states) and are set in turn into
-    one generator. The seed must lie in [0, 2**32 - 1] and the sample ids
-    below 2**64. Strength 0 short-circuits to exact copies.
+    one generator. Each sample draws its standard uniforms, then its
+    standard normals, into rows of two batch arrays; numpy's own maps for
+    uniform(low, high) (low + (high - low) * u) and normal(0, sigma)
+    (0.0 + sigma * z) then run once over the batch, so every view equals
+    the per-sample uniform/normal draws bit for bit. The seed must lie in
+    [0, 2**32 - 1] and the sample ids below 2**64. Strength 0 short-circuits
+    to exact copies.
     """
     if num_views < 1:
         raise ConfigError("num_views must be >= 1")
@@ -209,7 +214,10 @@ def augment_views(x, num_views, strength, seed, sample_id):
         return np.repeat(rows, num_views, axis=0)
     if d < 2:
         raise ConfigError("rotation needs input_dim >= 2")
-    half = math.radians(strength * AUG_DEG_PER_STRENGTH)
+    low = -math.radians(strength * AUG_DEG_PER_STRENGTH)
+    high = -low
+    if not math.isfinite(high - low):  # numpy's uniform refuses such a range
+        raise ConfigError(f"augmentation strength {strength} gives a non-finite angle range")
     sigma = strength * AUG_SIGMA_PER_STRENGTH
     angles = np.empty((b, num_views))
     noise = np.empty((b, num_views, d))
@@ -217,14 +225,19 @@ def augment_views(x, num_views, strength, seed, sample_id):
     rng = np.random.Generator(bit_gen)
     for i, state in enumerate(_pcg64_states(seed, sample_id, b)):
         bit_gen.state = state
-        angles[i] = rng.uniform(-half, half, size=num_views)
-        noise[i] = rng.normal(0.0, sigma, size=(num_views, d))
+        rng.random(out=angles[i])
+        rng.standard_normal(out=noise[i])
+    angles *= high - low
+    angles += low
+    noise *= sigma
+    noise += 0.0  # numpy's loc + scale * z: -0.0 becomes +0.0
     out = np.repeat(rows, num_views, axis=0)
     x0, x1 = out[:, 0].copy(), out[:, 1].copy()
     c, s = np.cos(angles.ravel()), np.sin(angles.ravel())
     out[:, 0] = c * x0 - s * x1
     out[:, 1] = s * x0 + c * x1
-    return out + noise.reshape(b * num_views, d)
+    out += noise.reshape(b * num_views, d)
+    return out
 
 
 @dataclass

@@ -10,8 +10,9 @@ losses can stay autodiff-free.
 
 forward_cached keeps every intermediate array for backward. Inference with
 SOURCE_STATS goes through forward, which computes each hidden layer in place
-in one array per layer, with the same operations in the same order, so its
-probabilities are byte-identical to forward_cached's.
+in one array per layer (taken from a caller-kept scratch list when one is
+given), with the same operations in the same order, so its probabilities are
+byte-identical to forward_cached's.
 
 Parameters are addressed by position: params(model, wrt) lists the model's
 own arrays in one fixed order, and backward and grad return gradient lists
@@ -171,30 +172,48 @@ def forward_cached(model, inputs, mode, update_stats=False):
     return probs, ForwardCache(mode=mode, layers=caches, logits=logits)
 
 
-def forward(model, inputs, mode, update_stats=False):
+def _layer_rows(scratch, i, n, width):
+    """Rows [:n] of scratch[i], which is first made (n, width) if it is missing,
+    too short or of another width."""
+    if len(scratch) == i:
+        scratch.append(np.empty((n, width)))
+    elif scratch[i].shape[0] < n or scratch[i].shape[1] != width:
+        scratch[i] = np.empty((n, width))
+    return scratch[i][:n]
+
+
+def forward(model, inputs, mode, update_stats=False, scratch=None):
     """Probability matrix only; same arguments and checks as forward_cached.
 
-    BATCH_STATS goes through forward_cached. SOURCE_STATS computes each hidden
-    layer in place in one fresh array (the caller's inputs are never written),
-    applying forward_cached's operations in its order, so the result is
-    byte-identical while a large batch allocates one array per layer instead
-    of one per operation. Rows are deliberately not split into blocks: the
-    matmul kernel may then round differently.
+    BATCH_STATS goes through forward_cached. SOURCE_STATS computes hidden
+    layer i in place in scratch[i][:n] (the caller's inputs are never
+    written), applying forward_cached's operations in its order, so the
+    result is byte-identical. scratch is a list the caller keeps between
+    calls; an entry is allocated, or replaced by a larger one, only when a
+    batch has more rows than it holds. With scratch=None each call fills a
+    fresh list. The returned probabilities never share memory with it. Rows
+    are deliberately not split into blocks: the matmul kernel may then round
+    differently.
     """
     if mode is ForwardMode.BATCH_STATS:
         probs, _ = forward_cached(model, inputs, mode, update_stats=update_stats)
         return probs
     a = _checked_inputs(model, inputs, mode, update_stats)
-    for layer in model.layers[:-1]:
+    if scratch is None:
+        scratch = []
+    for i, layer in enumerate(model.layers[:-1]):
         bn = layer.bn
-        z = a @ layer.weight
+        z = _layer_rows(scratch, i, a.shape[0], layer.weight.shape[1])
+        np.matmul(a, layer.weight, out=z)
         z += layer.bias
         z -= bn.running_mean
         z /= np.sqrt(bn.running_var + bn.eps)
         z *= bn.gamma
         z += bn.beta
-        # equals np.where(z > 0, z, 0.0): -0.0 and NaN become +0.0
-        np.copyto(z, 0.0, where=~(z > 0))
+        # equals np.where(z > 0, z, 0.0) bit for bit: NaN, -inf and -0.0
+        # become +0.0 (fmax drops the NaN, the add turns -0.0 into +0.0)
+        np.fmax(z, 0.0, out=z)
+        z += 0.0
         a = z
     head = model.layers[-1]
     logits = a @ head.weight

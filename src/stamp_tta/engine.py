@@ -17,20 +17,24 @@ adaptation path; run_experiment joins them back in afterwards for scoring.
 from __future__ import annotations
 
 import dataclasses
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
 from . import datagen, diffnet, losses, membank, metrics, optim
 from .config import ExperimentConfig, MethodConfig
 from .diffnet import ForwardMode
-from .errors import ConfigError
+from .errors import ConfigError, NumericalError
 from .losses import WeightStrategy
 
 
 @dataclass
 class AdaptState:
-    """Everything one adaptation run mutates, plus the validated method knobs."""
+    """Everything one adaptation run mutates, plus the validated method knobs.
+
+    scratch holds the hidden-layer arrays the averaged prediction's forward
+    reuses from batch to batch (see diffnet.forward).
+    """
 
     model: diffnet.Model
     source: diffnet.Model
@@ -41,6 +45,7 @@ class AdaptState:
     h_thr: float
     seed: int = 0
     samples_seen: int = 0
+    scratch: list = field(default_factory=list)
 
 
 def build_state(model, cfg: ExperimentConfig):
@@ -62,20 +67,23 @@ def build_state(model, cfg: ExperimentConfig):
     )
 
 
-def averaged_prediction(model, inputs, views, strength, seed, first_sample_id, enabled=True):
+def averaged_prediction(
+    model, inputs, views, strength, seed, first_sample_id, enabled=True, scratch=None
+):
     """Augmentation-averaged probabilities and argmax labels for a batch.
 
     Runs one source-statistics forward over all views; rows are independent
     in this mode, so the batched call matches per-sample calls to float
     accuracy and is deterministic for a fixed batch layout. With augmentation
-    disabled or strength 0 this is a single plain forward.
+    disabled or strength 0 this is a single plain forward. scratch is passed
+    to diffnet.forward for its hidden-layer arrays.
     """
     x = np.asarray(inputs, dtype=np.float64)
     if not enabled or strength == 0:
-        probs = diffnet.forward(model, x, ForwardMode.SOURCE_STATS)
+        probs = diffnet.forward(model, x, ForwardMode.SOURCE_STATS, scratch=scratch)
     else:
         stack = datagen.augment_views(x, views, strength, seed, first_sample_id)
-        flat = diffnet.forward(model, stack, ForwardMode.SOURCE_STATS)
+        flat = diffnet.forward(model, stack, ForwardMode.SOURCE_STATS, scratch=scratch)
         probs = flat.reshape(x.shape[0], views, -1).mean(axis=1)
     preds = np.argmax(probs, axis=1)  # ties break to the lowest index
     return probs, preds
@@ -137,6 +145,7 @@ def stamp_step(state, inputs):
         state.seed,
         state.samples_seen,
         enabled=m.use_augmentation,
+        scratch=state.scratch,
     )
     scores = losses.entropy(probs)
     state.samples_seen += x.shape[0]
@@ -249,13 +258,34 @@ def make_stream(cfg: ExperimentConfig):
     )
 
 
+def _adapt(state, stream):
+    """Step state through the stream; per-sample (preds, scores) in stream order.
+
+    A ConfigError or NumericalError raised inside a step is raised again as
+    the same type, its message prefixed with the batch index and its sample
+    range.
+    """
+    preds = np.empty(len(stream), dtype=np.int64)
+    scores = np.empty(len(stream))
+    for k, (start, batch) in enumerate(stream.batches()):
+        try:
+            p, s = step(state, batch)
+        except (ConfigError, NumericalError) as exc:
+            where = f"batch {k} (samples {start}-{start + len(batch) - 1})"
+            raise type(exc)(f"{where}: {exc}") from exc
+        preds[start : start + len(p)] = p
+        scores[start : start + len(p)] = s
+    return preds, scores
+
+
 def run_experiment(cfg: ExperimentConfig, model=None):
     """Run one method over one stream; returns ((preds, scores), summary dict).
 
     preds and scores are per-sample arrays in stream order. The model comes
     from, in order: the argument, the configured checkpoint, or a fresh
     pretraining run. Identical configs produce identical outputs and
-    summaries; the model is copied, never mutated in place.
+    summaries; the model is copied, never mutated in place. Errors inside a
+    step name their batch (see _adapt).
     """
     cfg.validate()
     if model is None:
@@ -264,16 +294,13 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         else:
             model, _ = pretrain_source(cfg)
     stream = make_stream(cfg)
-    state = build_state(model, cfg)
-    preds = np.empty(len(stream), dtype=np.int64)
-    scores = np.empty(len(stream))
-    for start, batch in stream.batches():
-        p, s = step(state, batch)
-        preds[start : start + len(p)] = p
-        scores[start : start + len(p)] = s
+    # the run's state (model copies, memory, forward buffers) is freed here,
+    # before scoring allocates its own arrays
+    preds, scores = _adapt(build_state(model, cfg), stream)
+    h_thr = cfg.h_thr()
 
     ms = metrics.summarize(preds, scores, stream.labels, stream.outlier)
-    rejected = detect(scores, state.h_thr)
+    rejected = detect(scores, h_thr)
     # echo everything that determines the result; output routing does not,
     # so identical experiments produce identical summaries wherever written
     cfg_echo = cfg.to_dict()
@@ -284,7 +311,7 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         "num_samples": len(stream),
         "num_normal": ms.num_normal,
         "num_outlier": ms.num_outlier,
-        "h_thr": state.h_thr,
+        "h_thr": h_thr,
         "rejected_fraction": float(rejected.mean()),
         "metrics": {"acc": ms.acc, "auc": ms.auc, "h_score": ms.h},
         "config": cfg_echo,

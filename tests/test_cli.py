@@ -2,7 +2,10 @@
 
 import csv
 import dataclasses
+import hashlib
+import importlib.util
 import json
+import pathlib
 
 import numpy as np
 import pytest
@@ -318,3 +321,39 @@ class TestConfigSurface:
         clone = config_from_dict(cfg.to_dict())
         assert clone.method.rho == 0.07
         assert clone.to_dict() == cfg.to_dict()
+
+
+class TestOutputDigestsExpect:
+    """scripts/output_digests.py --expect, on two stubbed runs."""
+
+    RUNS = [("ablate/full", 0, "aa"), ("protocol/methods/stamp", 0, "bb")]
+    LINES = ["ablate/full seed=0 aa", "protocol/methods/stamp seed=0 bb"]
+
+    @pytest.fixture
+    def script(self, monkeypatch):
+        path = pathlib.Path(__file__).resolve().parents[1] / "scripts" / "output_digests.py"
+        spec = importlib.util.spec_from_file_location("output_digests", path)
+        module = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(module)
+        monkeypatch.setattr(module.engine, "pretrain_source", lambda cfg: (None, 1.0))
+        for name, run in zip(("ablation_digests", "protocol_digests"), self.RUNS):
+            monkeypatch.setattr(module, name, lambda cfg, model, seeds, run=run: iter([run]))
+        return module
+
+    def whole(self):
+        return hashlib.sha256("".join(line + "\n" for line in self.LINES).encode()).hexdigest()
+
+    def test_match_exits_zero(self, script, capsys):
+        assert script.main(["--expect", self.whole()]) == 0
+        assert capsys.readouterr().out.splitlines() == self.LINES + [f"all {self.whole()}"]
+
+    def test_mismatch_exits_one_and_prints_both_lines(self, script, capsys):
+        assert script.main(["--expect", "0" * 64]) == 1
+        err = capsys.readouterr().err.splitlines()
+        assert err == [f"expected all {'0' * 64}", f"actual   all {self.whole()}"]
+
+    @pytest.mark.parametrize("bad", ["4015c8aa", "X" * 64])
+    def test_malformed_digest_is_a_usage_error(self, script, bad):
+        with pytest.raises(SystemExit) as info:
+            script.main(["--expect", bad])
+        assert info.value.code == 2

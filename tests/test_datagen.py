@@ -177,6 +177,12 @@ class TestAugmentViews:
         with pytest.raises(ValueError):  # a bare feature vector is not a batch
             datagen.augment_views(np.array([1.0, 0.0]), 4, 1.0, seed=0, sample_id=0)
 
+    @pytest.mark.parametrize("strength", [math.inf, math.nan, 1e308])
+    def test_non_finite_angle_range_rejected(self, strength):
+        # numpy's uniform raises a bare OverflowError for such a range
+        with pytest.raises(ConfigError, match="strength"):
+            datagen.augment_views(np.array([[1.0, 0.0]]), 4, strength, seed=0, sample_id=0)
+
     @pytest.mark.parametrize("seed", [-1, 2**32])
     def test_seed_outside_one_word_rejected(self, seed):
         with pytest.raises(ConfigError, match="seed"):
@@ -229,7 +235,7 @@ class TestBatchSeeding:
     b=st.integers(1, 70),
     num_views=st.integers(1, 16),
     input_dim=st.integers(2, 5),
-    strength=st.sampled_from([0.0, 0.3, 3.5]),
+    strength=st.sampled_from([0.0, 1e-3, 0.3, 3.5, 7.25, 90.0]),  # 90: angle range > pi
     seed=st.integers(0, 2**32 - 1),
     first_id=st.one_of(
         st.integers(0, 1000),

@@ -103,6 +103,63 @@ class TestForward:
         assert np.all(np.isfinite(cached))
         assert np.array_equal(diffnet.forward(m, x, ForwardMode.SOURCE_STATS), cached)
 
+        # layer 0's pre-activations set unit by unit through beta (zero weight,
+        # bias 1, gamma -0.0, so gamma * x_hat is -0.0): every unit's post-ReLU
+        # bytes match. A +inf unit (index 8) makes all of layer 1 NaN through a
+        # zero weight row, and the ReLU zeroes that layer too. fmax alone
+        # keeps the sign of some -0.0 inputs, depending on their position
+        # (here an all -0.0 row shows it), so the row counts vary.
+        special = [-0.0, 0.0, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-308, -2.5]
+        for beta in (special + [1.5, -0.0], special + [np.inf, -0.0], [-0.0] * 10):
+            for n in (1, 3, 4):
+                m = make_random_model(10, hidden=(10, 5))
+                layer0 = m.layers[0]
+                layer0.weight[:] = 0.0
+                layer0.bias[:] = 1.0
+                layer0.bn.running_mean[:] = 0.0
+                layer0.bn.running_var[:] = 1.0
+                layer0.bn.gamma[:] = -0.0
+                layer0.bn.beta[:] = beta
+                if np.inf in beta:
+                    m.layers[1].weight[8] = 0.0
+                scratch = []
+                with np.errstate(invalid="ignore"):  # inf * 0 in layer 1 is the point
+                    probs = diffnet.forward(m, x[:n], ForwardMode.SOURCE_STATS, scratch=scratch)
+                    cached, cache = diffnet.forward_cached(m, x[:n], ForwardMode.SOURCE_STATS)
+                assert probs.tobytes() == cached.tobytes()
+                for i, buf in enumerate(scratch):
+                    assert buf.tobytes() == cache.layers[i + 1].inputs.tobytes()
+                assert not np.signbit(scratch[0]).any()  # every -0.0 became +0.0
+                keep = np.array(beta) > 0  # subnormals, 1.5 and +inf pass unchanged
+                assert np.array_equal(scratch[0][:, keep], np.tile(np.array(beta)[keep], (n, 1)))
+
+    def test_scratch_reused_across_row_counts(self):
+        m = make_random_model(11, input_dim=2, hidden=(32, 32))
+        scratch = []
+        held, rows = None, 0
+        for n in (1024, 16, 1500, 64):
+            rows = max(rows, n)
+            x = np.random.default_rng(n).normal(size=(n, 2)) * 3
+            cached, _ = diffnet.forward_cached(m, x, ForwardMode.SOURCE_STATS)
+            probs = diffnet.forward(m, x, ForwardMode.SOURCE_STATS, scratch=scratch)
+            assert probs.tobytes() == cached.tobytes()
+            assert [buf.shape for buf in scratch] == [(rows, 32)] * 2
+            if n in (16, 64):  # a smaller batch keeps the arrays it found
+                assert all(a is b for a, b in zip(scratch, held, strict=True))
+            held = list(scratch)
+
+    def test_results_never_alias_scratch(self):
+        m = make_random_model(12, input_dim=2, hidden=(32, 32))
+        scratch = []
+        kept = []
+        for n in (64, 64, 8, 128):
+            x = np.random.default_rng(n + len(kept)).normal(size=(n, 2))
+            probs = diffnet.forward(m, x, ForwardMode.SOURCE_STATS, scratch=scratch)
+            assert not any(np.shares_memory(probs, buf) for buf in scratch)
+            kept.append((probs, probs.copy()))
+        # later calls overwrote the scratch arrays but left every result alone
+        assert all(np.array_equal(probs, copy) for probs, copy in kept)
+
     def test_source_stats_row_independence(self):
         # equality is to float accuracy, not bitwise: the matmul kernel may
         # reassociate sums differently for different batch shapes

@@ -9,7 +9,7 @@ from conftest import ReferenceBank
 from stamp_tta import config as config_mod
 from stamp_tta import datagen, diffnet, engine, losses, optim
 from stamp_tta.diffnet import ForwardMode
-from stamp_tta.errors import ConfigError
+from stamp_tta.errors import ConfigError, NumericalError
 
 
 def small_cfg(**overrides):
@@ -217,6 +217,14 @@ class TestStampStep:
         assert len(state.bank) <= 1
         assert params_equal(before, adaptable_snapshot(state.model))
 
+    def test_same_size_batches_reuse_the_scratch_arrays(self, trained_model):
+        state = self._state(trained_model)
+        preds, _ = engine.stamp_step(state, self._batch(0))
+        held = list(state.scratch)
+        assert [buf.shape for buf in held] == [(16 * 16, 16)] * 2
+        engine.stamp_step(state, self._batch(1))
+        assert all(a is b for a, b in zip(state.scratch, held, strict=True))
+
     def test_frequency_updated_once_per_batch(self, trained_model):
         state = self._state(trained_model)
         x = self._batch(5)
@@ -381,6 +389,24 @@ class TestRunExperiment:
             cfg.method.name = method
             (preds, scores), _ = engine.run_experiment(cfg, model=trained_model)
             assert len(preds) == len(scores) == 65
+
+    @pytest.mark.parametrize("error", [NumericalError, ConfigError])
+    def test_error_inside_a_step_names_its_batch(self, trained_model, monkeypatch, error):
+        cfg = small_cfg()
+        real_step = engine.step
+        seen = []
+
+        def step_failing_at_batch_3(state, inputs):
+            seen.append(len(inputs))
+            if len(seen) == 4:
+                raise error("loss value is not finite")
+            return real_step(state, inputs)
+
+        monkeypatch.setattr(engine, "step", step_failing_at_batch_3)
+        with pytest.raises(error) as info:
+            engine.run_experiment(cfg, model=trained_model)
+        assert str(info.value) == "batch 3 (samples 192-255): loss value is not finite"
+        assert type(info.value.__cause__) is error
 
     def test_pretrain_floor_enforced(self):
         cfg = small_cfg()
