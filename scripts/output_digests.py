@@ -1,9 +1,9 @@
 #!/usr/bin/env python3
 """Print one sha256 of the predictions and scores of every benchmark run.
 
-Runs every `stamp-tta ablate` arm (benchmark.ABLATION_ARMS) and every arm of
-benchmark.run_protocol on the benchmark stream seeds, against one shared
-pretrained checkpoint, and prints one line per run:
+Runs every `stamp-tta ablate` arm (benchmark.ABLATION_ARMS) and every
+protocol arm (benchmark.protocol_arms) on the benchmark stream seeds, against
+one shared pretrained checkpoint, and prints one line per run:
 
     <arm> seed=<s> <sha256 of the int64 predictions, then the float64 scores>
 
@@ -47,35 +47,17 @@ def ablation_digests(cfg, model, seeds):
             yield f"ablate/{name}", seed, digest(outputs)
 
 
-def protocol_arm_names():
-    """Arm labels in the order run_protocol runs them."""
-    return (
-        [f"protocol/methods/{m}" for m in benchmark.METHOD_ARMS]
-        + [f"protocol/removals/{r}" for r in benchmark.REMOVAL_ARMS]
-        + ["protocol/ratios/%.2f" % r for r in benchmark.RATIO_GRID]
-    )
-
-
 def protocol_digests(cfg, model, seeds):
-    """Digest every run of the real protocol by wrapping engine.run_experiment."""
-    runs = []
-    run_experiment = engine.run_experiment
+    """Run every benchmark.protocol_arms entry on every seed, arms then seeds.
 
-    def recording(run_cfg, model=None):
-        outputs, summary = run_experiment(run_cfg, model=model)
-        runs.append((run_cfg.seed, digest(outputs)))
-        return outputs, summary
-
-    engine.run_experiment = recording
-    try:
-        benchmark.run_protocol(cfg, model=model, seeds=seeds)
-    finally:
-        engine.run_experiment = run_experiment
-    names = [name for name in protocol_arm_names() for _ in seeds]
-    if len(names) != len(runs):
-        raise SystemExit(f"expected {len(names)} protocol runs, saw {len(runs)}")
-    for name, (seed, sha) in zip(names, runs):
-        yield name, seed, sha
+    run_protocol runs an arm identical to an earlier one only once; this
+    runs each arm itself, so the duplicate's line checks its own bytes.
+    """
+    for section, key, arm_cfg in benchmark.protocol_arms(cfg):
+        for seed in seeds:
+            run_cfg = dataclasses.replace(arm_cfg, seed=seed)
+            outputs, _ = engine.run_experiment(run_cfg, model=model)
+            yield f"protocol/{section}/{key}", seed, digest(outputs)
 
 
 def main(argv=None):

@@ -76,47 +76,63 @@ def load_benchmark_config(path=None):
         return config_from_dict(json.load(fh))
 
 
-def _mean_metrics(cfg, model, seeds):
+def protocol_arms(cfg):
+    """Yield (section, key, arm_cfg) for every protocol arm, in run order.
+
+    Sections are methods (METHOD_ARMS), removals (REMOVAL_ARMS) and ratios
+    (RATIO_GRID, keyed "%.2f"). Baselines intentionally use MethodConfig()
+    defaults so the tuned stamp hyperparameters never leak into them.
+    """
+    for name in METHOD_ARMS:
+        method = cfg.method if name == "stamp" else MethodConfig(name=name)
+        yield "methods", name, dataclasses.replace(cfg, method=method)
+    for name, overrides in REMOVAL_ARMS.items():
+        method = dataclasses.replace(cfg.method, **overrides)
+        yield "removals", name, dataclasses.replace(cfg, method=method)
+    for ratio in RATIO_GRID:
+        data = dataclasses.replace(cfg.data, outlier_ratio=ratio)
+        yield "ratios", "%.2f" % ratio, dataclasses.replace(cfg, data=data)
+
+
+def run_once(memo, cfg, model):
+    """The summary of the run cfg describes, reused when an identical config ran.
+
+    memo maps the canonical config echo (ExperimentConfig.echo as sorted
+    JSON, what run_experiment writes into summary["config"]) to a summary.
+    It lives for one protocol call or one grid command, and such a call uses
+    one model, so the echo alone identifies the run. A miss calls
+    engine.run_experiment.
+    """
+    key = json.dumps(cfg.echo(), sort_keys=True)
+    if key not in memo:
+        _, memo[key] = engine.run_experiment(cfg, model=model)
+    return memo[key]
+
+
+def _mean_metrics(memo, cfg, model, seeds):
     rows = []
     for seed in seeds:
-        run_cfg = dataclasses.replace(cfg, seed=seed)
-        _, summary = engine.run_experiment(run_cfg, model=model)
-        m = summary["metrics"]
+        m = run_once(memo, dataclasses.replace(cfg, seed=seed), model)["metrics"]
         rows.append((m["acc"], m["auc"], m["h_score"]))
     acc, auc, h = np.mean(rows, axis=0)
     return {"acc": float(acc), "auc": float(auc), "h_score": float(h)}
 
 
 def run_protocol(cfg, model=None, seeds=STREAM_SEEDS):
-    """Run the full comparison and return the nested result dict.
+    """Run every protocol_arms entry on every seed; return the nested result dict.
 
-    Baselines intentionally use MethodConfig() defaults so the tuned
-    stamp hyperparameters never leak into them.
+    Identical runs happen once per call: ratios/0.20 is the configured
+    method, the same config as methods/stamp, so with the default config
+    each seed takes 12 runs for 13 arms (see run_once).
     """
     if model is None:
         model, _ = engine.pretrain_source(cfg)
 
-    methods = {}
-    for name in METHOD_ARMS:
-        if name == "stamp":
-            arm_cfg = cfg
-        else:
-            arm_cfg = dataclasses.replace(cfg, method=MethodConfig(name=name))
-        methods[name] = _mean_metrics(arm_cfg, model, seeds)
-
-    removals = {}
-    for name, overrides in REMOVAL_ARMS.items():
-        method = dataclasses.replace(cfg.method, **overrides)
-        removals[name] = _mean_metrics(
-            dataclasses.replace(cfg, method=method), model, seeds
-        )
-
-    ratios = {}
-    for ratio in RATIO_GRID:
-        data = dataclasses.replace(cfg.data, outlier_ratio=ratio)
-        ratios["%.2f" % ratio] = _mean_metrics(
-            dataclasses.replace(cfg, data=data), model, seeds
-        )
+    memo = {}
+    result = {"methods": {}, "removals": {}, "ratios": {}}
+    for section, key, arm_cfg in protocol_arms(cfg):
+        result[section][key] = _mean_metrics(memo, arm_cfg, model, seeds)
+    methods, removals, ratios = result["methods"], result["removals"], result["ratios"]
 
     ratio_h = [ratios[k]["h_score"] for k in sorted(ratios)]
     ratio_auc = [ratios[k]["auc"] for k in sorted(ratios)]
@@ -131,13 +147,9 @@ def run_protocol(cfg, model=None, seeds=STREAM_SEEDS):
         "ratio_h_range": max(ratio_h) - min(ratio_h),
         "ratio_min_auc": min(ratio_auc),
     }
-    return {
-        "methods": methods,
-        "removals": removals,
-        "ratios": ratios,
-        "margins": {k: float(v) for k, v in margins.items()},
-        "seeds": list(seeds),
-    }
+    result["margins"] = {k: float(v) for k, v in margins.items()}
+    result["seeds"] = list(seeds)
+    return result
 
 
 def write_golden(results, path=None, tolerance=0.01):

@@ -22,7 +22,7 @@ import sys
 
 from . import config as config_mod
 from . import diffnet, engine, metrics
-from .benchmark import ABLATION_ARMS, RATIO_GRID
+from .benchmark import ABLATION_ARMS, RATIO_GRID, run_once
 from .errors import ConfigError, NumericalError, ParseError
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?=.*)$")
@@ -165,13 +165,18 @@ def cmd_run(cfg):
 
 
 def _run_grid(cfg, variants, table_name, extra=None):
-    """Run config variants off a shared model; write per-arm summaries and a table."""
+    """Run config variants off a shared model; write per-arm summaries and a table.
+
+    Variants with identical configs run once and share one summary, so their
+    summary.json files are byte-identical (see benchmark.run_once): ablate's
+    three full-method arms make one run.
+    """
     model = _shared_model(cfg)
     os.makedirs(cfg.output.directory, exist_ok=True)
-    rows, failures = [], []
+    rows, failures, memo = [], [], {}
     for name, variant_cfg in variants:
         try:
-            _, summary = engine.run_experiment(variant_cfg, model=model)
+            summary = run_once(memo, variant_cfg, model)
         except (ConfigError, ParseError, NumericalError, ValueError) as exc:
             failures.append((name, str(exc)))
             continue

@@ -26,6 +26,14 @@ def _check_seed(key, value):
         raise ConfigError(f"{key} must lie in [0, {MAX_SEED}], got {value}")
 
 
+def _check_finite(section, cfg):
+    """Reject NaN and +-inf in every float field, which range checks let through."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(f.default, float) and not math.isfinite(value):
+            raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
+
+
 @dataclass
 class DataConfig:
     """Stream and source-generation knobs (see datagen)."""
@@ -42,6 +50,7 @@ class DataConfig:
     val_fraction: float = 0.25
 
     def validate(self):
+        _check_finite("data", self)
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("data.val_fraction must lie in (0, 1)")
         if self.source_size < self.num_classes:
@@ -63,6 +72,7 @@ class ModelConfig:
     accuracy_floor: float = 0.9
 
     def validate(self):
+        _check_finite("model", self)
         if len(self.hidden_sizes) == 0 or any(h < 1 for h in self.hidden_sizes):
             raise ConfigError("model.hidden_sizes must be positive widths")
         if self.epochs < 0:
@@ -105,6 +115,7 @@ class MethodConfig:
     weight_strategy: str = "self"
 
     def validate(self):
+        _check_finite("method", self)
         if self.name not in METHODS:
             raise ConfigError(f"method.name must be one of {METHODS}")
         if self.base_lr <= 0:
@@ -164,6 +175,17 @@ class ExperimentConfig:
         out = dataclasses.asdict(self)
         out["model"]["hidden_sizes"] = list(self.model.hidden_sizes)
         out["output"]["formats"] = list(self.output.formats)
+        return out
+
+    def echo(self):
+        """Everything that determines a run's result: to_dict() without output.
+
+        run_experiment writes it into summary["config"], and benchmark.run_once
+        keys its per-call memo on it, so identical experiments share one
+        summary wherever their outputs are routed.
+        """
+        out = self.to_dict()
+        del out["output"]
         return out
 
 

@@ -143,6 +143,11 @@ def _hash_constants(init, mult, n):
     return np.array([init * pow(mult, k, 2**32) & _MASK32 for k in range(n)], np.uint32)[:, None]
 
 
+# the pool hash's two constant sequences, one per row, computed once at import
+_HASH_A = _hash_constants(_INIT_A, _MULT_A, 17)
+_HASH_B = _hash_constants(_INIT_B, _MULT_B, 9)
+
+
 def _hashmix(value, xor_const, mult_const):
     value = (value ^ xor_const) * mult_const
     return value ^ (value >> 16)
@@ -162,16 +167,14 @@ def _pcg64_states(seed, first_id, b):
     ids = np.arange(first_id, first_id + b, dtype=np.uint64)
     pool = np.empty((4, b), dtype=np.uint32)
     pool[0], pool[1], pool[2], pool[3] = seed, _TAG_AUG, ids & _MASK32, ids >> 32
-    hash_a = _hash_constants(_INIT_A, _MULT_A, 17)
-    pool = _hashmix(pool, hash_a[0:4], hash_a[1:5])
+    pool = _hashmix(pool, _HASH_A[0:4], _HASH_A[1:5])
     for src in range(4):
         dst = [i for i in range(4) if i != src]
         k = 4 + 3 * src
-        hashed = _hashmix(pool[src], hash_a[k : k + 3], hash_a[k + 1 : k + 4])
+        hashed = _hashmix(pool[src], _HASH_A[k : k + 3], _HASH_A[k + 1 : k + 4])
         mixed = pool[dst] * _MIX_MULT_L - hashed * _MIX_MULT_R
         pool[dst] = mixed ^ (mixed >> 16)
-    hash_b = _hash_constants(_INIT_B, _MULT_B, 9)
-    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], hash_b[:8], hash_b[1:]).astype(np.uint64)
+    words = _hashmix(pool[[0, 1, 2, 3, 0, 1, 2, 3]], _HASH_B[:8], _HASH_B[1:]).astype(np.uint64)
     states = []
     for hi, lo, inc_hi, inc_lo in zip(*(words[1::2] << 32 | words[0::2]).tolist()):
         inc = ((inc_hi << 64 | inc_lo) << 1 | 1) & _MASK128

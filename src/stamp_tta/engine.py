@@ -301,10 +301,6 @@ def run_experiment(cfg: ExperimentConfig, model=None):
 
     ms = metrics.summarize(preds, scores, stream.labels, stream.outlier)
     rejected = detect(scores, h_thr)
-    # echo everything that determines the result; output routing does not,
-    # so identical experiments produce identical summaries wherever written
-    cfg_echo = cfg.to_dict()
-    cfg_echo.pop("output", None)
     summary = {
         "method": cfg.method.name,
         "seed": cfg.seed,
@@ -314,6 +310,6 @@ def run_experiment(cfg: ExperimentConfig, model=None):
         "h_thr": h_thr,
         "rejected_fraction": float(rejected.mean()),
         "metrics": {"acc": ms.acc, "auc": ms.auc, "h_score": ms.h},
-        "config": cfg_echo,
+        "config": cfg.echo(),
     }
     return (preds, scores), summary

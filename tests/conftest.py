@@ -9,8 +9,9 @@ replays the eviction policy with plain list scans.
 import math
 
 import numpy as np
+import pytest
 
-from stamp_tta import datagen, diffnet
+from stamp_tta import datagen, diffnet, engine
 from stamp_tta.diffnet import ForwardMode
 
 
@@ -166,3 +167,17 @@ class ReferenceBank:
 
     def features(self):
         return np.array([x for x, _ in self.items]) if self.items else np.empty((0, 0))
+
+
+@pytest.fixture
+def run_calls(monkeypatch):
+    """The configs engine.run_experiment is called with, in call order."""
+    calls = []
+    run_experiment = engine.run_experiment
+
+    def counting(cfg, model=None):
+        calls.append(cfg)
+        return run_experiment(cfg, model=model)
+
+    monkeypatch.setattr(engine, "run_experiment", counting)
+    return calls

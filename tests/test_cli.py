@@ -5,13 +5,21 @@ import dataclasses
 import hashlib
 import importlib.util
 import json
+import math
 import pathlib
 
 import numpy as np
 import pytest
 
 from stamp_tta import benchmark, cli, engine
-from stamp_tta.config import ExperimentConfig, config_from_dict
+from stamp_tta.config import (
+    DataConfig,
+    ExperimentConfig,
+    MethodConfig,
+    ModelConfig,
+    config_from_dict,
+)
+from stamp_tta.errors import ConfigError
 
 
 def tiny_config(tmp_path, **extra):
@@ -31,6 +39,14 @@ def tiny_config(tmp_path, **extra):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return path
+
+
+FLOAT_FIELDS = [
+    (section, f.name)
+    for section, cls in (("data", DataConfig), ("model", ModelConfig), ("method", MethodConfig))
+    for f in dataclasses.fields(cls)
+    if isinstance(f.default, float)
+]
 
 
 def read_rows(path):
@@ -224,6 +240,21 @@ class TestErrors:
         assert rc == 2
         assert "gone.npz" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override,key",
+        [
+            ("--method.rho=NaN", "method.rho"),
+            ("--data.severity=Infinity", "data.severity"),
+            ("--model.lr=-Infinity", "model.lr"),
+        ],
+    )
+    def test_non_finite_float_exits_2(self, tmp_path, capsys, override, key):
+        cfg = tiny_config(tmp_path)
+        rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), override])
+        assert rc == 2
+        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
     def test_bad_override_value(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path)
         rc = cli.main(
@@ -255,6 +286,15 @@ class TestAblate:
         for r in rows:
             assert (out / r["arm"] / "summary.json").exists()
             assert 0 <= float(r["h_score"]) <= 1
+
+    def test_identical_arms_run_once(self, tmp_path, run_calls):
+        cfg = tiny_config(tmp_path)
+        out = tmp_path / "ablate"
+        assert cli.main(["ablate", "--config", str(cfg), "--out", str(out)]) == 0
+        assert len(run_calls) == 10
+        assert len(read_rows(out / "comparison.csv")) == 12
+        full = ("grid_sa1_ds1_rbm1_sw1", "weight_self", "aug_on")
+        assert len({(out / arm / "summary.json").read_bytes() for arm in full}) == 1
 
     def test_requires_stamp(self, tmp_path, capsys):
         cfg = tiny_config(tmp_path, **{"method.name": "tent"})
@@ -308,10 +348,38 @@ class TestSweepRatio:
             assert (out / f"ratio_{pct:02d}" / "summary.json").exists()
             assert float(r["auc"]) > 0  # defined at every ratio
 
+    def test_each_ratio_runs_once(self, tmp_path, run_calls):
+        cfg = tiny_config(tmp_path)
+        rc = cli.main(["sweep-ratio", "--config", str(cfg), "--out", str(tmp_path / "s")])
+        assert rc == 0
+        assert [c.data.outlier_ratio for c in run_calls] == list(benchmark.RATIO_GRID)
+
 
 class TestConfigSurface:
     def test_default_config_validates(self):
         ExperimentConfig().validate()
+
+    def test_float_fields_include_the_method_and_stream_knobs(self):
+        assert {
+            ("method", "aug_strength"),
+            ("method", "base_lr"),
+            ("method", "rho"),
+            ("method", "h_thr_factor"),
+            ("data", "severity"),
+            ("data", "outlier_ratio"),
+            ("model", "lr"),
+        } <= set(FLOAT_FIELDS)
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
+    @pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+    def test_non_finite_float_rejected(self, section, key, value):
+        raw = {section: {key: value}}
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
+            config_from_dict(raw)
+        cfg = ExperimentConfig()
+        setattr(getattr(cfg, section), key, value)
+        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
+            cfg.validate()
 
     def test_round_trip_through_dict(self):
         cfg = ExperimentConfig()
