@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Print one sha256 of the predictions and scores of every benchmark run.
 
-Runs every `stamp-tta ablate` arm (benchmark.ABLATION_ARMS) and every
+Runs every `stamp-tta ablate` arm (benchmark.ablation_arms) and every
 protocol arm (benchmark.protocol_arms) on the benchmark stream seeds, against
 one shared pretrained checkpoint, and prints one line per run:
 
@@ -39,10 +39,9 @@ def digest(outputs):
 
 
 def ablation_digests(cfg, model, seeds):
-    for name, overrides in benchmark.ABLATION_ARMS.items():
-        method = dataclasses.replace(cfg.method, **overrides)
+    for name, arm_cfg in benchmark.ablation_arms(cfg):
         for seed in seeds:
-            run_cfg = dataclasses.replace(cfg, method=method, seed=seed)
+            run_cfg = dataclasses.replace(arm_cfg, seed=seed)
             outputs, _ = engine.run_experiment(run_cfg, model=model)
             yield f"ablate/{name}", seed, digest(outputs)
 

@@ -17,7 +17,7 @@ from .config import (
     config_from_dict,
     load_config,
 )
-from .datagen import CorruptionConfig, StreamConfig, augment_views, corrupt, gen_source, gen_stream
+from .datagen import StreamConfig, augment_views, corrupt, gen_source, gen_stream
 from .diffnet import ForwardMode, forward, grad, init_model, load_model, pretrain, save_model
 from .engine import (
     AdaptState,
@@ -27,9 +27,9 @@ from .engine import (
     run_experiment,
     stamp_step,
 )
-from .losses import WeightStrategy, entropy, self_weighted_entropy_loss, softmax, weighted_entropy_loss
+from .losses import WEIGHTINGS, entropy, make_entropy_objective, softmax
 from .membank import FilterVerdict, MemoryBank, filter_masks
 from .metrics import accuracy, auroc, h_score, roc_curve, summarize
-from .optim import SamConfig, ScheduleState, cosine_lr, sam_step, sgd_step
+from .optim import cosine_lr, sam_step, sgd_step
 
 __version__ = "0.1.0"

@@ -21,7 +21,7 @@ import os
 import numpy as np
 
 from . import engine
-from .config import MethodConfig, config_from_dict
+from .config import MethodConfig, load_config
 
 METHOD_ARMS = ("source", "bn_stats", "tent", "stamp")
 STREAM_SEEDS = (0, 1, 2, 3, 4)
@@ -31,14 +31,15 @@ RATIO_GRID = (0.05, 0.10, 0.20, 0.33, 0.50)
 REMOVAL_ARMS = {
     "mem_off": {"use_memory": False},
     "static": {"weight_strategy": "static"},
-    "sgd": {"use_sam": False},
+    "sgd": {"rho": 0.0},
     "no_decay": {"use_decay": False},
 }
 
-# Toggle grid rows (use_sam, use_decay, use_memory, self-weighting); memory
-# off also disables the admission filters so the loss falls back to the raw
-# batch, and self-weighting off means plain entropy. The last row is the
-# full method.
+# Toggle grid rows (sharpness-aware step, use_decay, use_memory,
+# self-weighting). The sharpness-aware step off is rho 0, its plain gradient
+# step; on keeps the configured rho. Memory off also disables the admission
+# filters so the loss falls back to the raw batch, and self-weighting off
+# means plain entropy. The last row is the full method.
 _TOGGLE_GRID = (
     (0, 0, 0, 0),
     (0, 1, 0, 0),
@@ -53,7 +54,7 @@ _TOGGLE_GRID = (
 ABLATION_ARMS = {
     **{
         f"grid_sa{sa}_ds{ds}_rbm{rbm}_sw{sw}": {
-            "use_sam": bool(sa),
+            **({} if sa else {"rho": 0.0}),
             "use_decay": bool(ds),
             "use_memory": bool(rbm),
             "use_filtering": bool(rbm),
@@ -72,8 +73,18 @@ DEFAULT_GOLDEN_PATH = os.path.join(_HERE, "tests", "golden", "benchmark_golden.j
 
 
 def load_benchmark_config(path=None):
-    with open(path or DEFAULT_CONFIG_PATH) as fh:
-        return config_from_dict(json.load(fh))
+    return load_config(path or DEFAULT_CONFIG_PATH)
+
+
+def ablation_arms(cfg):
+    """Yield (name, arm_cfg) for every ABLATION_ARMS entry, in table order.
+
+    Each arm applies its MethodConfig overrides on top of cfg's method
+    section; `stamp-tta ablate` and scripts/output_digests.py both run these.
+    """
+    for name, overrides in ABLATION_ARMS.items():
+        method = dataclasses.replace(cfg.method, **overrides)
+        yield name, dataclasses.replace(cfg, method=method)
 
 
 def protocol_arms(cfg):

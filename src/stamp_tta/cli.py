@@ -6,7 +6,7 @@ directory: summary.json (sorted keys), records.csv (features, label and
 outlier flag per stream sample, extended with pred and ood_score columns),
 roc.csv, and for the grid commands one summary per arm plus a combined
 comparison table. The grid commands run the arms that benchmark.py
-registers: ABLATION_ARMS for ablate and RATIO_GRID for sweep-ratio. Repeat
+registers: ablation_arms for ablate and RATIO_GRID for sweep-ratio. Repeat
 invocations with the same inputs produce byte-identical files.
 """
 
@@ -22,25 +22,10 @@ import sys
 
 from . import config as config_mod
 from . import diffnet, engine, metrics
-from .benchmark import ABLATION_ARMS, RATIO_GRID, run_once
+from .benchmark import RATIO_GRID, ablation_arms, run_once
 from .errors import ConfigError, NumericalError, ParseError
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?=.*)$")
-
-
-def _load_raw_config(path):
-    if path is None:
-        return {}
-    if not os.path.exists(path):
-        raise ConfigError(f"config file not found: {path}")
-    with open(path) as fh:
-        try:
-            raw = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ParseError(exc.msg, line=exc.lineno) from None
-    if not isinstance(raw, dict):
-        raise ConfigError("config root must be a JSON object")
-    return raw
 
 
 def _build_config(args, extras):
@@ -52,11 +37,9 @@ def _build_config(args, extras):
                 f"unrecognized argument {item!r}; overrides look like --section.key=value"
             )
         overrides.append(m.group(1))
-    raw = _load_raw_config(args.config)
-    raw = config_mod.apply_overrides(raw, overrides)
     if args.seed is not None:
-        raw["seed"] = args.seed
-    cfg = config_mod.config_from_dict(raw)
+        overrides.append(f"seed={args.seed}")
+    cfg = config_mod.load_config(args.config, overrides)
     if args.out is not None:
         cfg.output.directory = args.out
     return cfg
@@ -196,11 +179,7 @@ def _run_grid(cfg, variants, table_name, extra=None):
 def cmd_ablate(cfg):
     if cfg.method.name != "stamp":
         raise ConfigError("ablate requires method.name == 'stamp'")
-    variants = []
-    for name, overrides in ABLATION_ARMS.items():
-        method = dataclasses.replace(cfg.method, **overrides)
-        variants.append((name, dataclasses.replace(cfg, method=method)))
-    return _run_grid(cfg, variants, "comparison.csv")
+    return _run_grid(cfg, ablation_arms(cfg), "comparison.csv")
 
 
 def cmd_sweep_ratio(cfg):

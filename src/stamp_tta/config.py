@@ -13,11 +13,12 @@ import json
 import math
 from dataclasses import dataclass, field, fields
 
-from .datagen import MAX_SEED
+from .datagen import MAX_SEED, StreamConfig
 from .errors import ConfigError, ParseError
+from .losses import WEIGHTINGS
 
 METHODS = ("source", "bn_stats", "tent", "stamp")
-WEIGHT_STRATEGIES = ("plain", "self", "static", "eata")
+WEIGHT_STRATEGIES = tuple(WEIGHTINGS)
 OUTPUT_FORMATS = ("summary", "records", "roc")
 
 
@@ -49,8 +50,22 @@ class DataConfig:
     source_seed: int = 0
     val_fraction: float = 0.25
 
+    def stream_config(self, seed=0):
+        """The datagen.StreamConfig of the test stream this section describes."""
+        return StreamConfig(
+            num_classes=self.num_classes,
+            input_dim=self.input_dim,
+            num_samples=self.num_samples,
+            batch_size=self.batch_size,
+            severity=self.severity,
+            outlier_ratio=self.outlier_ratio,
+            outlier_mode=self.outlier_mode,
+            seed=seed,
+        )
+
     def validate(self):
         _check_finite("data", self)
+        self.stream_config().validate()
         if not 0.0 < self.val_fraction < 1.0:
             raise ConfigError("data.val_fraction must lie in (0, 1)")
         if self.source_size < self.num_classes:
@@ -89,10 +104,13 @@ class ModelConfig:
 class MethodConfig:
     """Adaptation method and its hyperparameters; the one definition of each knob.
 
-    h_thr_factor scales ln(num_classes) into the entropy threshold used both
-    for admission and for the outlier flag. The use_* toggles and
-    weight_strategy are the ablation switches (the full method has every
-    toggle on and "self" weighting). use_filtering gates the two admission
+    engine.build_state and the update read these fields directly; optim and
+    losses take them as plain values. h_thr_factor scales ln(num_classes)
+    into the entropy threshold used both for admission and for the outlier
+    flag. The use_* toggles, weight_strategy (a losses.WEIGHTINGS name) and
+    rho are the ablation switches: the full method has every toggle on,
+    "self" weighting and rho > 0, and rho 0 turns the sharpness-aware step
+    into its plain gradient step. use_filtering gates the two admission
     filters: with use_memory off and use_filtering on there is nothing to
     optimize, so no updates happen; with both off the loss is taken over the
     raw incoming batch, which is classical online entropy minimization.
@@ -109,7 +127,6 @@ class MethodConfig:
     capacity: int = 64
     use_memory: bool = True
     use_filtering: bool = True
-    use_sam: bool = True
     use_decay: bool = True
     use_augmentation: bool = True
     weight_strategy: str = "self"
@@ -262,15 +279,26 @@ def config_from_dict(raw):
     return ExperimentConfig(seed=seed, **sections).validate()
 
 
-def load_config(path):
-    """Parse a JSON config file; JSON errors surface with the line number."""
-    with open(path) as fh:
-        text = fh.read()
-    try:
-        raw = json.loads(text)
-    except json.JSONDecodeError as exc:
-        raise ParseError(exc.msg, line=exc.lineno) from None
-    return config_from_dict(raw)
+def load_config(path=None, overrides=()):
+    """Read a JSON config file, apply dotted overrides, build and validate.
+
+    With no path every key starts at its default. A missing file raises
+    ConfigError; malformed JSON raises ParseError with the line number.
+    """
+    raw = {}
+    if path is not None:
+        try:
+            with open(path) as fh:
+                text = fh.read()
+        except FileNotFoundError:
+            raise ConfigError(f"config file not found: {path}") from None
+        try:
+            raw = json.loads(text)
+        except json.JSONDecodeError as exc:
+            raise ParseError(exc.msg, line=exc.lineno) from None
+        if not isinstance(raw, dict):
+            raise ConfigError("config root must be a JSON object")
+    return config_from_dict(apply_overrides(raw, overrides))
 
 
 def apply_overrides(raw, overrides):

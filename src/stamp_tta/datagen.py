@@ -95,47 +95,31 @@ def gen_source(num_classes, input_dim, n, seed):
     return features[perm], labels[perm]
 
 
-@dataclass
-class CorruptionConfig:
-    """Which corruption components are active; all on by default."""
-
-    rotate: bool = True
-    noise: bool = True
-    scale: bool = True
-
-
-def corrupt(x, severity, seed, components=None):
-    """Severity-scaled distribution shift, deterministic per (x, severity, seed).
+def corrupt(x, severity, seed):
+    """Severity-scaled distribution shift of an (n, d) matrix, deterministic per (x, severity, seed).
 
     Composition: rotation by severity * 9 degrees in the circle plane, then a
     uniform per-coordinate scaling by 1 + severity * 0.04, then additive
-    Gaussian noise with sigma severity * 0.08. Components can be toggled off;
-    with noise and scale disabled the map is a pure rotation (an isometry).
-    Accepts a single vector or a (n, d) matrix.
+    Gaussian noise with sigma severity * 0.08 drawn from default_rng(seed).
     """
     if severity < 0:
         raise ConfigError("severity must be >= 0")
-    if components is None:
-        components = CorruptionConfig()
-    arr = np.asarray(x, dtype=np.float64)
-    single = arr.ndim == 1
-    out = np.atleast_2d(arr).copy()
-    if out.shape[1] < 2 and components.rotate:
+    out = np.array(x, dtype=np.float64)
+    if out.ndim != 2:
+        raise ValueError("corrupt expects an (n, d) matrix")
+    if out.shape[1] < 2:
         raise ConfigError("rotation needs input_dim >= 2")
-    if components.rotate:
-        theta = math.radians(severity * ROTATION_DEG_PER_SEVERITY)
-        c, s = math.cos(theta), math.sin(theta)
-        x0, x1 = out[:, 0].copy(), out[:, 1].copy()
-        out[:, 0] = c * x0 - s * x1
-        out[:, 1] = s * x0 + c * x1
-    if components.scale:
-        out *= 1.0 + severity * SCALE_PER_SEVERITY
-    if components.noise:
-        sigma = severity * NOISE_SIGMA_PER_SEVERITY
-        if sigma > 0:
-            rng = np.random.default_rng(seed)
-            out += rng.normal(0.0, sigma, size=out.shape)
-    return out[0] if single else out
+    theta = math.radians(severity * ROTATION_DEG_PER_SEVERITY)
+    c, s = math.cos(theta), math.sin(theta)
+    x0, x1 = out[:, 0].copy(), out[:, 1].copy()
+    out[:, 0] = c * x0 - s * x1
+    out[:, 1] = s * x0 + c * x1
+    out *= 1.0 + severity * SCALE_PER_SEVERITY
+    sigma = severity * NOISE_SIGMA_PER_SEVERITY
+    if sigma > 0:
+        rng = np.random.default_rng(seed)
+        out += rng.normal(0.0, sigma, size=out.shape)
+    return out
 
 
 def _hash_constants(init, mult, n):
@@ -245,7 +229,7 @@ def augment_views(x, num_views, strength, seed, sample_id):
 
 @dataclass
 class StreamConfig:
-    """Geometry and mixing knobs for one test stream."""
+    """Geometry and mixing knobs for one test stream (see config.DataConfig.stream_config)."""
 
     num_classes: int
     input_dim: int = 2
@@ -257,20 +241,21 @@ class StreamConfig:
     seed: int = 0
 
     def validate(self):
+        """Range checks; the messages name the config.DataConfig key."""
         if self.num_classes < 2:
-            raise ConfigError("num_classes must be >= 2")
+            raise ConfigError("data.num_classes must be >= 2")
         if self.input_dim < 2:
-            raise ConfigError("input_dim must be >= 2")
+            raise ConfigError("data.input_dim must be >= 2")
         if self.num_samples < 1:
-            raise ConfigError("num_samples must be >= 1")
+            raise ConfigError("data.num_samples must be >= 1")
         if self.batch_size < 1:
-            raise ConfigError("batch_size must be >= 1")
+            raise ConfigError("data.batch_size must be >= 1")
         if not 0.0 <= self.outlier_ratio <= 1.0:
-            raise ConfigError("outlier_ratio must lie in [0, 1]")
+            raise ConfigError("data.outlier_ratio must lie in [0, 1]")
         if self.severity < 0:
-            raise ConfigError("severity must be >= 0")
+            raise ConfigError("data.severity must be >= 0")
         if self.outlier_mode not in OUTLIER_MODES:
-            raise ConfigError(f"outlier_mode must be one of {OUTLIER_MODES}")
+            raise ConfigError(f"data.outlier_mode must be one of {OUTLIER_MODES}")
         return self
 
 
@@ -289,10 +274,6 @@ class Stream:
 
     def __len__(self):
         return self.features.shape[0]
-
-    @property
-    def num_batches(self):
-        return -(-len(self) // self.batch_size)
 
     def batches(self):
         """Yield (start_index, feature_matrix) in stream order."""

@@ -7,8 +7,8 @@ method averages predictions over randomized views, admits samples into a
 class-balanced replay memory through the consistency and confidence filters,
 and takes one sharpness-aware step of the self-weighted entropy loss over
 the memory contents under a cosine-decayed step size. Every component can be
-toggled off; with everything off the update degenerates to plain entropy
-minimization on the raw batch.
+switched off (the sharpness-aware step by rho 0); with everything off the
+update degenerates to plain entropy minimization on the raw batch.
 
 Step functions receive feature matrices only. Truth columns never enter the
 adaptation path; run_experiment joins them back in afterwards for scoring.
@@ -17,6 +17,7 @@ adaptation path; run_experiment joins them back in afterwards for scoring.
 from __future__ import annotations
 
 import dataclasses
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -25,26 +26,28 @@ from . import datagen, diffnet, losses, membank, metrics, optim
 from .config import ExperimentConfig, MethodConfig
 from .diffnet import ForwardMode
 from .errors import ConfigError, NumericalError
-from .losses import WeightStrategy
 
 
 @dataclass
 class AdaptState:
     """Everything one adaptation run mutates, plus the validated method knobs.
 
-    scratch holds the hidden-layer arrays the averaged prediction's forward
-    reuses from batch to batch (see diffnet.forward).
+    objective is the entropy loss every update of the run minimizes: the
+    configured weight_strategy for stamp, plain mean entropy for tent.
+    updates counts the steps taken, the cosine schedule's t. scratch holds
+    the hidden-layer arrays the averaged prediction's forward reuses from
+    batch to batch (see diffnet.forward).
     """
 
     model: diffnet.Model
     source: diffnet.Model
     cfg: MethodConfig
-    sched: optim.ScheduleState
-    sam: optim.SamConfig
+    objective: Callable
     bank: membank.MemoryBank | None
     h_thr: float
     seed: int = 0
     samples_seen: int = 0
+    updates: int = 0
     scratch: list = field(default_factory=list)
 
 
@@ -55,14 +58,15 @@ def build_state(model, cfg: ExperimentConfig):
     bank = None
     if m.name == "stamp" and m.use_memory:
         bank = membank.MemoryBank(m.capacity, cfg.data.num_classes, cfg.data.input_dim)
+    h_thr = cfg.h_thr()
+    weighting = m.weight_strategy if m.name == "stamp" else "plain"
     return AdaptState(
         model=diffnet.snapshot_source(model),
         source=diffnet.snapshot_source(model),
         cfg=m,
-        sched=optim.ScheduleState(base_lr=m.base_lr, horizon=m.horizon).validate(),
-        sam=optim.SamConfig(rho=m.rho).validate(),
+        objective=losses.make_entropy_objective(weighting, h_thr=h_thr),
         bank=bank,
-        h_thr=cfg.h_thr(),
+        h_thr=h_thr,
         seed=cfg.seed,
     )
 
@@ -97,33 +101,16 @@ def detect(scores, delta_thr):
 
 
 def _apply_update(state, batch):
-    """One optimization step on the adaptable parameters over `batch`.
+    """One sharpness-aware step (plain with rho 0) on the adaptable parameters over `batch`.
 
     The step also folds the batch into the running statistics, once.
     """
     m = state.cfg
-    objective = losses.make_entropy_objective(m.weight_strategy, h_thr=state.h_thr)
-    lr = optim.cosine_lr(state.sched) if m.use_decay else state.sched.base_lr
-    if m.use_sam:
-        optim.sam_update(
-            state.model,
-            batch,
-            ForwardMode.BATCH_STATS,
-            objective,
-            state.sam,
-            lr,
-            update_stats=True,
-        )
-    else:
-        optim.sgd_update(
-            state.model,
-            batch,
-            ForwardMode.BATCH_STATS,
-            objective,
-            lr,
-            update_stats=True,
-        )
-    state.sched.step_count += 1
+    lr = optim.cosine_lr(m.base_lr, m.horizon, state.updates) if m.use_decay else m.base_lr
+    optim.sam_update(
+        state.model, batch, ForwardMode.BATCH_STATS, state.objective, m.rho, lr, update_stats=True
+    )
+    state.updates += 1
 
 
 def stamp_step(state, inputs):
@@ -186,13 +173,8 @@ def baseline_step(state, inputs):
     else:
         probs = diffnet.forward(state.model, x, ForwardMode.BATCH_STATS)
         if state.cfg.name == "tent":
-            objective = losses.make_entropy_objective(WeightStrategy.PLAIN)
             optim.sgd_update(
-                state.model,
-                x,
-                ForwardMode.BATCH_STATS,
-                objective,
-                state.sched.base_lr,
+                state.model, x, ForwardMode.BATCH_STATS, state.objective, state.cfg.base_lr
             )
     preds = np.argmax(probs, axis=1)
     scores = losses.entropy(probs)
@@ -243,19 +225,7 @@ def pretrain_source(cfg: ExperimentConfig):
 
 def make_stream(cfg: ExperimentConfig):
     """The test stream that cfg.data and cfg.seed describe."""
-    d = cfg.data
-    return datagen.gen_stream(
-        datagen.StreamConfig(
-            num_classes=d.num_classes,
-            input_dim=d.input_dim,
-            num_samples=d.num_samples,
-            batch_size=d.batch_size,
-            severity=d.severity,
-            outlier_ratio=d.outlier_ratio,
-            outlier_mode=d.outlier_mode,
-            seed=cfg.seed,
-        )
-    )
+    return datagen.gen_stream(cfg.data.stream_config(cfg.seed))
 
 
 def _adapt(state, stream):

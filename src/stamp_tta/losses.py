@@ -2,12 +2,12 @@
 
 Every loss here maps a logit matrix (batch, classes) to a scalar together
 with the exact gradient w.r.t. the logits, so the network backward pass can
-be seeded without any autodiff machinery. Entropies use the natural log.
+be seeded without any autodiff machinery. The entropy losses are one table,
+WEIGHTINGS, of ways to weight the per-row entropies; make_entropy_objective
+turns an entry into a logit loss. Entropies use the natural log.
 """
 
 from __future__ import annotations
-
-from enum import Enum
 
 import numpy as np
 
@@ -16,15 +16,6 @@ from .errors import NumericalError
 # Probabilities below this are clamped before the log; keeps 0*log(0) at 0
 # without poisoning gradients.
 _P_FLOOR = 1e-300
-
-
-class WeightStrategy(Enum):
-    """How per-sample entropies are weighted when averaged into a loss."""
-
-    PLAIN = "plain"
-    SELF_WEIGHTED = "self"
-    STATIC_WEIGHTED = "static"
-    EATA_WEIGHTED = "eata"
 
 
 def softmax(logits):
@@ -70,60 +61,63 @@ def _chain_to_logits(dl_dh, p, logp, h):
     return dl_dh[:, None] * (-p * (logp + h[:, None]))
 
 
-def self_weighted_entropy_loss(logits):
-    """Entropy average weighted by normalized exp(-H), weights inside the gradient.
+def _plain(h, h_thr):
+    """Unweighted mean entropy."""
+    n = h.shape[0]
+    return float(h.mean()), np.full(n, 1.0 / n)
 
-    L = sum_i s_i H_i with s = softmax(-H). Low-entropy rows dominate both the
-    value and the update direction; the weight's dependence on H is kept in
-    the differentiation path, which yields dL/dH_k = s_k (1 - H_k + L).
+
+def _self_weighted(h, h_thr):
+    """L = sum_i s_i H_i with s = softmax(-H), the weights inside the gradient.
+
+    Low-entropy rows dominate both the value and the update direction; the
+    weight's dependence on H is kept in the differentiation path, which
+    yields dL/dH_k = s_k (1 - H_k + L).
     """
-    p, logp, h = _rows_p_h(logits)
     s = softmax(-h)
     value = float(np.dot(s, h))
-    dl_dh = s * (1.0 - h + value)
-    return value, _chain_to_logits(dl_dh, p, logp, h)
+    return value, s * (1.0 - h + value)
 
 
-def weighted_entropy_loss(logits, strategy, h_thr=None):
-    """Dispatch over the entropy-weighting variants.
+def _static_weighted(h, h_thr):
+    """The self-weighted value with the weights treated as constants: dL/dH_k = s_k."""
+    s = softmax(-h)
+    return float(np.dot(s, h)), s
 
-    PLAIN: unweighted mean entropy. SELF_WEIGHTED: see
-    self_weighted_entropy_loss. STATIC_WEIGHTED: same normalized exp(-H)
-    weights but treated as constants, so dL/dH_k = s_k. EATA_WEIGHTED: mean of
-    exp(h_thr - H_i) * H_i with the weight treated as constant; needs h_thr.
-    Returns (scalar, gradient w.r.t. logits).
+
+def _eata_weighted(h, h_thr):
+    """Mean of exp(h_thr - H_i) * H_i, the weight treated as a constant."""
+    w = np.exp(float(h_thr) - h)
+    return float(np.mean(w * h)), w / h.shape[0]
+
+
+# method.weight_strategy name -> weighting of the per-row entropies H, as a
+# function (H, h_thr) -> (loss value, dL/dH); only "eata" reads h_thr
+WEIGHTINGS = {
+    "plain": _plain,
+    "self": _self_weighted,
+    "static": _static_weighted,
+    "eata": _eata_weighted,
+}
+
+
+def make_entropy_objective(name, h_thr=None):
+    """The logits -> (value, gradient w.r.t. logits) loss of one WEIGHTINGS entry.
+
+    The weighting turns the per-row entropies of the logits' softmax into a
+    scalar and its dL/dH, which is chained back to the logits in closed
+    form. "eata" needs the entropy threshold h_thr.
     """
-    strategy = WeightStrategy(strategy)
-    if strategy is WeightStrategy.SELF_WEIGHTED:
-        return self_weighted_entropy_loss(logits)
-    p, logp, h = _rows_p_h(logits)
-    n = h.shape[0]
-    if strategy is WeightStrategy.PLAIN:
-        value = float(h.mean())
-        dl_dh = np.full(n, 1.0 / n)
-    elif strategy is WeightStrategy.STATIC_WEIGHTED:
-        s = softmax(-h)
-        value = float(np.dot(s, h))
-        dl_dh = s
-    elif strategy is WeightStrategy.EATA_WEIGHTED:
-        if h_thr is None:
-            raise ValueError("EATA weighting requires h_thr")
-        w = np.exp(float(h_thr) - h)
-        value = float(np.mean(w * h))
-        dl_dh = w / n
-    else:  # pragma: no cover
-        raise ValueError(f"unknown strategy {strategy}")
-    return value, _chain_to_logits(dl_dh, p, logp, h)
-
-
-def make_entropy_objective(strategy, h_thr=None):
-    """Bind a weighting strategy into a logits -> (value, grad) callable."""
-    strategy = WeightStrategy(strategy)
-    if strategy is WeightStrategy.EATA_WEIGHTED and h_thr is None:
+    if name not in WEIGHTINGS:
+        raise ValueError(f"unknown entropy weighting {name!r}")
+    if name == "eata" and h_thr is None:
         raise ValueError("EATA weighting requires h_thr")
+    weighting = WEIGHTINGS[name]
 
     def objective(logits):
-        return weighted_entropy_loss(logits, strategy, h_thr)
+        p, logp, h = _rows_p_h(logits)
+        value, dl_dh = weighting(h, h_thr)
+        return value, _chain_to_logits(dl_dh, p, logp, h)
 
     return objective
 

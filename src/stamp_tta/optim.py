@@ -1,18 +1,20 @@
 """Optimization pieces: cosine step decay, SGD, and sharpness-aware steps.
 
-The SGD and SAM steps work on a list of parameter arrays plus a gradient
-oracle that returns gradients in the same order, so the same code path serves
-both the network (via diffnet.grad) and the scalar hand-trace checks. The
+Each function takes plain values (a base rate, a horizon, a step count, a
+radius), the ones MethodConfig holds, and checks their ranges itself. The
+SGD and SAM steps work on a list of parameter arrays plus a gradient oracle
+that returns gradients in the same order, so the same code path serves both
+the network (via diffnet.grad) and the scalar hand-trace checks. The
 perturbation radius is applied along the joint L2 direction of the first
-gradient across every adaptable tensor. The model updates write each
-candidate into the model's own arrays, in place.
+gradient across every adaptable tensor; radius 0 is the plain gradient step.
+The model updates write each candidate into the model's own arrays, in
+place.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -23,45 +25,20 @@ from .errors import ConfigError, NumericalError
 SAM_NORM_FLOOR = 1e-12
 
 
-@dataclass
-class ScheduleState:
-    """Cosine step-decay state: base_lr is alpha_0, horizon is T, step_count t."""
+def cosine_lr(base_lr, horizon, step_count):
+    """Half-cosine decay from base_lr (alpha_0) to 0 across horizon (T) steps, then 0.
 
-    base_lr: float
-    horizon: int
-    step_count: int = 0
-
-    def validate(self):
-        if self.base_lr <= 0:
-            raise ConfigError("base_lr must be positive")
-        if self.horizon < 1:
-            raise ConfigError("horizon must be >= 1")
-        if self.step_count < 0:
-            raise ConfigError("step_count must be >= 0")
-        return self
-
-
-def cosine_lr(sched):
-    """Half-cosine decay from base_lr to 0 across horizon steps, then 0.
-
-    lr(t) = base_lr / 2 * (1 + cos(pi * min(t, T) / T)); the min clamp holds
-    the rate at exactly 0 once t >= T.
+    lr(t) = base_lr / 2 * (1 + cos(pi * min(t, T) / T)) at step_count t; the
+    min clamp holds the rate at exactly 0 once t >= T.
     """
-    sched.validate()
-    t = min(sched.step_count, sched.horizon)
-    return 0.5 * sched.base_lr * (1.0 + math.cos(math.pi * t / sched.horizon))
-
-
-@dataclass
-class SamConfig:
-    """Sharpness-aware step knobs; rho 0 degenerates to plain SGD."""
-
-    rho: float = 0.05
-
-    def validate(self):
-        if self.rho < 0:
-            raise ConfigError("method.rho must be >= 0")
-        return self
+    if base_lr <= 0:
+        raise ConfigError("base_lr must be positive")
+    if horizon < 1:
+        raise ConfigError("horizon must be >= 1")
+    if step_count < 0:
+        raise ConfigError("step_count must be >= 0")
+    t = min(step_count, horizon)
+    return 0.5 * base_lr * (1.0 + math.cos(math.pi * t / horizon))
 
 
 def _check_grads(grads, where):
@@ -80,26 +57,27 @@ def sgd_step(params, grad_fn, lr):
     return [p - lr * g for p, g in zip(params, grads)], loss
 
 
-def sam_step(params, grad_fn, sam_cfg, lr):
+def sam_step(params, grad_fn, rho, lr):
     """One sharpness-aware step: ascend to the worst nearby point, step from there.
 
     First gradient g1 defines the perturbation eps = rho * g1 / ||g1||_2 with
     the norm taken jointly over all tensors, summed tensor by tensor in list
     order. The loss is re-evaluated at params + eps and that second gradient
-    g2 drives the descent from the unperturbed parameters. If ||g1|| is at or
-    below SAM_NORM_FLOOR the perturbation is skipped and g1 is applied
-    directly.
+    g2 drives the descent from the unperturbed parameters. With rho 0, or
+    ||g1|| at or below SAM_NORM_FLOOR, the perturbation is skipped and g1 is
+    applied directly: the plain gradient step, from one evaluation.
     """
-    sam_cfg.validate()
+    if rho < 0:
+        raise ConfigError("method.rho must be >= 0")
     loss, g1 = grad_fn(params)
     _check_grads(g1, "sam ascent")
     sq = 0.0
     for g in g1:
         sq += float(np.sum(np.square(g)))
     norm = math.sqrt(sq)
-    if norm <= SAM_NORM_FLOOR:
+    if rho == 0 or norm <= SAM_NORM_FLOOR:
         return [p - lr * g for p, g in zip(params, g1)], loss
-    scale = sam_cfg.rho / norm
+    scale = rho / norm
     perturbed = [p + scale * g for p, g in zip(params, g1)]
     _, g2 = grad_fn(perturbed)
     _check_grads(g2, "sam descent")
@@ -137,7 +115,7 @@ def sgd_update(model, inputs, mode, logit_loss, lr, update_stats=False):
     return _update_in_place(model, step, inputs, mode, logit_loss, update_stats)
 
 
-def sam_update(model, inputs, mode, logit_loss, sam_cfg, lr, update_stats=False):
+def sam_update(model, inputs, mode, logit_loss, rho, lr, update_stats=False):
     """In-place sharpness-aware step on the adaptable parameters; returns the loss."""
-    step = functools.partial(sam_step, sam_cfg=sam_cfg, lr=lr)
+    step = functools.partial(sam_step, rho=rho, lr=lr)
     return _update_in_place(model, step, inputs, mode, logit_loss, update_stats)

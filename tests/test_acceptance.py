@@ -20,12 +20,7 @@ from conftest import ReferenceBank, brute_force_auc, fd_param_gradient, joint_re
 from stamp_tta import benchmark, cli, diffnet, engine, losses, membank, metrics, optim
 from stamp_tta.diffnet import ForwardMode
 
-LOSS_VARIANTS = (
-    losses.WeightStrategy.PLAIN,
-    losses.WeightStrategy.SELF_WEIGHTED,
-    losses.WeightStrategy.STATIC_WEIGHTED,
-    losses.WeightStrategy.EATA_WEIGHTED,
-)
+LOSS_VARIANTS = ("plain", "self", "static", "eata")
 
 
 def report(num, ok, detail):
@@ -66,10 +61,10 @@ def _fd_target(strategy, h_thr, base_logits):
     those weights at the unperturbed entropies; plain and self-weighted
     differentiate the loss exactly as written.
     """
-    if strategy in (losses.WeightStrategy.PLAIN, losses.WeightStrategy.SELF_WEIGHTED):
+    if strategy in ("plain", "self"):
         return losses.make_entropy_objective(strategy, h_thr=h_thr)
     h0 = losses.entropy(losses.softmax(base_logits))
-    if strategy is losses.WeightStrategy.STATIC_WEIGHTED:
+    if strategy == "static":
         w = losses.softmax(-h0)
         combine = lambda h: float(np.dot(w, h))  # noqa: E731
     else:
@@ -126,9 +121,7 @@ def test_criterion_02_schedule_exactness():
             2 * horizon: 0.0,
         }
         for t, want in expect.items():
-            got = optim.cosine_lr(
-                optim.ScheduleState(base_lr=base_lr, horizon=horizon, step_count=t)
-            )
+            got = optim.cosine_lr(base_lr, horizon, t)
             worst = max(worst, abs(got - want))
     ok = worst <= 1e-15
     line = report(2, ok, "max deviation %.1e at t in {0, T/2, T, 2T}" % worst)
@@ -143,9 +136,7 @@ def test_criterion_03_sam_hand_trace():
         (theta,) = params
         return float(0.5 * np.sum(theta**2)), [theta.copy()]
 
-    new, _ = optim.sam_step(
-        [np.array([1.0])], quadratic, optim.SamConfig(rho=0.1), lr=0.5
-    )
+    new, _ = optim.sam_step([np.array([1.0])], quadratic, 0.1, lr=0.5)
     trace_err = abs(float(new[0][0]) - 0.45)
 
     # rho=0 must reproduce plain SGD bit for bit, on the abstract step and on
@@ -156,7 +147,7 @@ def test_criterion_03_sam_hand_trace():
         value = float(sum(np.sin(v).sum() for v in p))
         return value, [np.cos(v) for v in p]
 
-    sam0, _ = optim.sam_step(list(params), wavy, optim.SamConfig(rho=0.0), lr=0.7)
+    sam0, _ = optim.sam_step(list(params), wavy, 0.0, lr=0.7)
     sgd0, _ = optim.sgd_step(list(params), wavy, lr=0.7)
     bit_exact = len(sam0) == len(sgd0) == len(params) and all(
         a.tobytes() == b.tobytes() for a, b in zip(sam0, sgd0)
@@ -165,12 +156,10 @@ def test_criterion_03_sam_hand_trace():
     from conftest import make_random_model
 
     x = np.random.default_rng(3).normal(0.0, 1.0, (6, 3))
-    objective = losses.make_entropy_objective(losses.WeightStrategy.SELF_WEIGHTED)
+    objective = losses.make_entropy_objective("self")
     m_sam = make_random_model(11)
     m_sgd = make_random_model(11)
-    optim.sam_update(
-        m_sam, x, ForwardMode.BATCH_STATS, objective, optim.SamConfig(rho=0.0), lr=0.2
-    )
+    optim.sam_update(m_sam, x, ForwardMode.BATCH_STATS, objective, 0.0, lr=0.2)
     optim.sgd_update(m_sgd, x, ForwardMode.BATCH_STATS, objective, lr=0.2)
     pa, pb = diffnet.params(m_sam), diffnet.params(m_sgd)
     bit_exact = bit_exact and all(a.tobytes() == b.tobytes() for a, b in zip(pa, pb))

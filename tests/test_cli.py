@@ -11,13 +11,15 @@ import pathlib
 import numpy as np
 import pytest
 
-from stamp_tta import benchmark, cli, engine
+from stamp_tta import benchmark, cli, engine, losses
 from stamp_tta.config import (
+    WEIGHT_STRATEGIES,
     DataConfig,
     ExperimentConfig,
     MethodConfig,
     ModelConfig,
     config_from_dict,
+    load_config,
 )
 from stamp_tta.errors import ConfigError
 
@@ -196,6 +198,7 @@ class TestErrors:
             "method.delta_thr_factor",
             "method.norm_floor",
             "method.update_running_stats",
+            "method.use_sam",
         ],
     )
     def test_removed_method_key_rejected(self, tmp_path, capsys, key):
@@ -215,6 +218,30 @@ class TestErrors:
         )
         assert rc == 2
         assert f"error: {key} must lie in [0, {2**32 - 1}]" in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    @pytest.mark.parametrize(
+        "key,value",
+        [
+            ("data.num_classes", 1),
+            ("data.input_dim", 1),
+            ("data.num_samples", 0),
+            ("data.batch_size", 0),
+            ("data.severity", -1.0),
+            ("data.outlier_ratio", -0.1),
+            ("data.outlier_ratio", 1.5),
+            ("data.outlier_mode", "nope"),
+        ],
+    )
+    def test_stream_range_rejected_before_pretraining(
+        self, tmp_path, capsys, monkeypatch, key, value
+    ):
+        monkeypatch.setattr(engine, "pretrain_source", lambda cfg: pytest.fail("pretrained"))
+        cfg = tiny_config(tmp_path)
+        override = f"--{key}={json.dumps(value)}"
+        rc = cli.main(["ablate", "--config", str(cfg), "--out", str(tmp_path / "o"), override])
+        assert rc == 2
+        assert f"error: {key} must" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_numeric_checkpoint_rejected(self, tmp_path, capsys):
@@ -380,6 +407,18 @@ class TestConfigSurface:
         setattr(getattr(cfg, section), key, value)
         with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
             cfg.validate()
+
+    def test_load_config_without_a_file(self, tmp_path):
+        cfg = load_config(overrides=["method.rho=0.1", "seed=3"])
+        assert (cfg.method.rho, cfg.seed) == (0.1, 3)
+        assert cfg.data == DataConfig()
+        path = tmp_path / "list.json"
+        path.write_text("[]")
+        with pytest.raises(ConfigError, match="config root must be a JSON object"):
+            load_config(path, overrides=["seed=1"])
+
+    def test_weight_strategies_are_the_loss_table(self):
+        assert WEIGHT_STRATEGIES == tuple(losses.WEIGHTINGS)
 
     def test_round_trip_through_dict(self):
         cfg = ExperimentConfig()

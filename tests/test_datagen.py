@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 from conftest import reference_augment_views
 from stamp_tta import datagen
-from stamp_tta.datagen import CorruptionConfig, StreamConfig
+from stamp_tta.datagen import StreamConfig
 from stamp_tta.errors import ConfigError
 
 
@@ -75,6 +75,21 @@ class TestGenSource:
             datagen.gen_source(4, 2, 3, seed=0)
 
 
+def corrupt_noise(shape, severity, seed):
+    """The seeded normal draw that corrupt adds last: sigma 0.08 per severity unit."""
+    return np.random.default_rng(seed).normal(0.0, 0.08 * severity, size=shape)
+
+
+def reference_corrupt(x, severity, seed):
+    """corrupt's composed map written out: rotate by 9 degrees per severity unit
+    in the first two coordinates, scale by 1 + 0.04 * severity, then add
+    corrupt_noise."""
+    theta = math.radians(9.0 * severity)
+    rot = np.eye(x.shape[1])
+    rot[:2, :2] = [[math.cos(theta), -math.sin(theta)], [math.sin(theta), math.cos(theta)]]
+    return (x @ rot.T) * (1.0 + 0.04 * severity) + corrupt_noise(x.shape, severity, seed)
+
+
 class TestCorrupt:
     def test_severity_zero_is_identity(self):
         x = np.random.default_rng(0).normal(size=(10, 2))
@@ -89,46 +104,47 @@ class TestCorrupt:
         c = datagen.corrupt(x, 5.0, seed=4)
         assert not np.array_equal(a, c)
 
+    def test_matches_composed_oracle(self):
+        rng = np.random.default_rng(10)
+        for d in (2, 3, 5):
+            x = rng.normal(scale=3.0, size=(25, d))
+            for severity, seed in ((0.0, 1), (0.5, 2), (5.0, 3), (9.0, 4)):
+                want = reference_corrupt(x, severity, seed)
+                assert np.allclose(datagen.corrupt(x, severity, seed), want, atol=1e-12)
+
     def test_rotation_only_is_isometry(self):
+        # without the noise and the scale, what is left is a pure rotation
         x = np.random.default_rng(2).normal(size=(40, 2))
-        out = datagen.corrupt(
-            x, 5.0, seed=0, components=CorruptionConfig(noise=False, scale=False)
-        )
+        out = datagen.corrupt(x, 5.0, seed=0)
+        rotated = (out - corrupt_noise(x.shape, 5.0, 0)) / 1.2
         d_in = np.linalg.norm(x[:, None] - x[None], axis=2)
-        d_out = np.linalg.norm(out[:, None] - out[None], axis=2)
+        d_out = np.linalg.norm(rotated[:, None] - rotated[None], axis=2)
         assert np.allclose(d_in, d_out, atol=1e-9)
 
     def test_rotation_angle_is_severity_scaled(self):
-        x = np.array([1.0, 0.0])
-        out = datagen.corrupt(
-            x, 5.0, seed=0, components=CorruptionConfig(noise=False, scale=False)
-        )
-        angle = math.degrees(math.atan2(out[1], out[0]))
+        x = np.array([[1.0, 0.0]])
+        out = datagen.corrupt(x, 5.0, seed=0) - corrupt_noise(x.shape, 5.0, 0)
+        angle = math.degrees(math.atan2(out[0, 1], out[0, 0]))
         assert angle == pytest.approx(45.0, abs=1e-9)
 
     def test_scale_factor(self):
-        x = np.array([1.0, 1.0])
-        out = datagen.corrupt(
-            x, 5.0, seed=0, components=CorruptionConfig(rotate=False, noise=False)
-        )
-        assert np.allclose(out, x * 1.2, atol=1e-12)
+        x = np.array([[1.0, 1.0]])
+        out = datagen.corrupt(x, 5.0, seed=0) - corrupt_noise(x.shape, 5.0, 0)
+        assert np.linalg.norm(out) == pytest.approx(1.2 * np.linalg.norm(x), abs=1e-12)
 
     def test_noise_magnitude(self):
+        # rotation and scaling leave the origin in place
         x = np.zeros((20000, 2))
-        out = datagen.corrupt(
-            x, 5.0, seed=9, components=CorruptionConfig(rotate=False, scale=False)
-        )
+        out = datagen.corrupt(x, 5.0, seed=9)
         assert out.std() == pytest.approx(0.4, rel=0.03)
 
     def test_negative_severity_rejected(self):
         with pytest.raises(ConfigError):
-            datagen.corrupt(np.zeros(2), -1.0, seed=0)
+            datagen.corrupt(np.zeros((1, 2)), -1.0, seed=0)
 
-    def test_vector_matrix_agreement(self):
-        x = np.array([0.5, -1.5])
-        a = datagen.corrupt(x, 3.0, seed=5)
-        b = datagen.corrupt(x[None, :], 3.0, seed=5)
-        assert np.array_equal(a, b[0])
+    def test_vector_rejected(self):
+        with pytest.raises(ValueError, match="matrix"):
+            datagen.corrupt(np.zeros(2), 1.0, seed=0)
 
 
 class TestAugmentViews:
@@ -291,7 +307,7 @@ class TestGenStream:
     def test_batching_covers_stream_in_order(self):
         s = datagen.gen_stream(self._cfg(num_samples=150, batch_size=64))
         batches = list(s.batches())
-        assert s.num_batches == 3
+        assert len(batches) == 3
         assert [len(b) for _, b in batches] == [64, 64, 22]
         assert [start for start, _ in batches] == [0, 64, 128]
         assert np.array_equal(np.concatenate([b for _, b in batches]), s.features)

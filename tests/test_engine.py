@@ -164,7 +164,7 @@ class TestStampStep:
         state = self._state(
             trained_model,
             use_memory=False,
-            use_sam=False,
+            rho=0.0,
             use_decay=False,
             weight_strategy="plain",
             use_augmentation=False,
@@ -180,14 +180,9 @@ class TestStampStep:
 
     def test_all_toggles_off_equals_tent(self, trained_model):
         cfg = small_cfg()
-        for name in (
-            "use_memory",
-            "use_filtering",
-            "use_sam",
-            "use_decay",
-            "use_augmentation",
-        ):
+        for name in ("use_memory", "use_filtering", "use_decay", "use_augmentation"):
             setattr(cfg.method, name, False)
+        cfg.method.rho = 0.0
         cfg.method.weight_strategy = "plain"
         degenerate = engine.build_state(trained_model, cfg)
 
@@ -257,11 +252,11 @@ class TestStampStep:
     def test_in_place_updates_reach_only_the_adapted_copy(self, trained_model):
         caller_before = [a.copy() for a in model_arrays(trained_model)]
         state = self._state(trained_model)
-        assert state.cfg.use_sam
+        assert state.cfg.rho > 0
         before = adaptable_snapshot(state.model)
         for seed in range(3):
             engine.stamp_step(state, self._batch(20 + seed))
-        assert state.sched.step_count == 3
+        assert state.updates == 3
         assert not params_equal(before, adaptable_snapshot(state.model))
         for frozen in (state.source, trained_model):
             for a, b in zip(model_arrays(frozen), caller_before, strict=True):
@@ -272,13 +267,13 @@ class TestStampStep:
 
     def test_schedule_advances_only_on_updates(self, trained_model):
         state = self._state(trained_model)
-        assert state.sched.step_count == 0
+        assert state.updates == 0
         engine.stamp_step(state, self._batch(6))
-        assert state.sched.step_count == 1
+        assert state.updates == 1
 
         frozen = self._state(trained_model, use_memory=False)
         engine.stamp_step(frozen, self._batch(7))
-        assert frozen.sched.step_count == 0
+        assert frozen.updates == 0
 
 
 class TestBaselines:

@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from conftest import fd_logit_gradient, joint_rel_err
 from stamp_tta import losses
 from stamp_tta.errors import NumericalError
-from stamp_tta.losses import WeightStrategy
 
 # Frozen oracle values, computed once at 40-digit precision (mpmath) and
 # pinned here. The weighted value is sum(softmax(-H) * H) at H = (0.2, 1.0).
@@ -19,6 +18,11 @@ SELF_DLDH_AT_02_10 = (0.861102238343847982, 0.138897761656152018)
 EATA_VALUE_AT_02_10 = 0.462806958392841881  # h_thr = 0.4 * ln 4
 ENTROPY_07_02_01 = 0.801818552543
 ENTROPY_09_01 = 0.325082973391
+
+
+def weighted(logits, name, h_thr=None):
+    """(value, logit gradient) of one losses.WEIGHTINGS entry."""
+    return losses.make_entropy_objective(name, h_thr=h_thr)(logits)
 
 
 def three_class_logits_with_entropy(target_h):
@@ -95,46 +99,50 @@ class TestWeightedValues:
         )
 
     def test_self_weighted_value_matches_frozen_oracle(self):
-        value, _ = losses.self_weighted_entropy_loss(self.z)
+        value, _ = weighted(self.z, "self")
         assert value == pytest.approx(WEIGHTED_VALUE_AT_02_10, abs=1e-9)
 
     def test_static_value_equals_self_value(self):
-        v_self, g_self = losses.self_weighted_entropy_loss(self.z)
-        v_static, g_static = losses.weighted_entropy_loss(self.z, "static")
+        v_self, g_self = weighted(self.z, "self")
+        v_static, g_static = weighted(self.z, "static")
         assert v_static == pytest.approx(v_self, abs=1e-15)
         # same value, different gradient: the weight path is detached
         assert joint_rel_err(g_self, g_static) > 1e-3
 
     def test_eata_value_matches_frozen_oracle(self):
         thr = 0.4 * math.log(4)
-        value, _ = losses.weighted_entropy_loss(self.z, "eata", h_thr=thr)
+        value, _ = weighted(self.z, "eata", h_thr=thr)
         assert value == pytest.approx(EATA_VALUE_AT_02_10, abs=1e-9)
 
     def test_eata_is_not_static_in_value_or_gradient(self):
         # the unnormalized threshold weighting must stay a distinct variant
         thr = 0.4 * math.log(4)
-        v_e, g_e = losses.weighted_entropy_loss(self.z, "eata", h_thr=thr)
-        v_s, g_s = losses.weighted_entropy_loss(self.z, "static")
+        v_e, g_e = weighted(self.z, "eata", h_thr=thr)
+        v_s, g_s = weighted(self.z, "static")
         assert abs(v_e - v_s) > 1e-3
         assert joint_rel_err(g_e, g_s) > 1e-3
 
     def test_plain_is_mean_entropy(self):
-        value, _ = losses.weighted_entropy_loss(self.z, "plain")
+        value, _ = weighted(self.z, "plain")
         assert value == pytest.approx(0.6, abs=1e-9)  # mean of 0.2 and 1.0
 
     def test_single_row_self_weighted_is_plain_entropy(self):
         row = self.z[:1]
-        v, g = losses.self_weighted_entropy_loss(row)
+        v, g = weighted(row, "self")
         assert v == pytest.approx(0.2, abs=1e-9)
-        v_plain, g_plain = losses.weighted_entropy_loss(row, "plain")
+        v_plain, g_plain = weighted(row, "plain")
         assert v == pytest.approx(v_plain, abs=1e-12)
         assert np.allclose(g, g_plain, atol=1e-12)
 
     def test_eata_requires_threshold(self):
         with pytest.raises(ValueError):
-            losses.weighted_entropy_loss(self.z, "eata")
+            weighted(self.z, "eata")
         with pytest.raises(ValueError):
             losses.make_entropy_objective("eata")
+
+    def test_unknown_weighting_rejected(self):
+        with pytest.raises(ValueError, match="unknown entropy weighting 'entropy'"):
+            losses.make_entropy_objective("entropy")
 
 
 class TestGradients:
@@ -163,10 +171,8 @@ class TestGradients:
         for _ in range(20):
             z = rng.normal(scale=2.0, size=(rng.integers(1, 6), rng.integers(2, 6)))
             for strategy in ("plain", "self"):
-                _, g = losses.weighted_entropy_loss(z, strategy)
-                fd = fd_logit_gradient(
-                    lambda q: losses.weighted_entropy_loss(q, strategy)[0], z
-                )
+                _, g = weighted(z, strategy)
+                fd = fd_logit_gradient(lambda q: weighted(q, strategy)[0], z)
                 assert joint_rel_err(g, fd) < 1e-6
 
     def test_detached_variants_match_frozen_fd(self):
@@ -175,7 +181,7 @@ class TestGradients:
         for _ in range(20):
             z = rng.normal(scale=2.0, size=(rng.integers(2, 6), 4))
             for strategy in ("static", "eata"):
-                _, g = losses.weighted_entropy_loss(z, strategy, h_thr=thr)
+                _, g = weighted(z, strategy, h_thr=thr)
                 fd = fd_logit_gradient(self._frozen_value_fn(strategy, z, h_thr=thr), z)
                 assert joint_rel_err(g, fd) < 1e-6
 
@@ -184,7 +190,7 @@ class TestGradients:
             [three_class_logits_with_entropy(0.2), three_class_logits_with_entropy(1.0)]
         )
         # chain check: dL/dz = dL/dH * dH/dz with the frozen dL/dH oracle
-        _, g = losses.self_weighted_entropy_loss(z)
+        _, g = weighted(z, "self")
         p = losses.softmax(z)
         logp = np.log(p)
         h = losses.entropy(p)
@@ -223,6 +229,6 @@ class TestGradients:
 def test_gradient_rows_sum_to_zero(rows):
     """Softmax is shift-invariant, so every loss gradient row sums to 0."""
     z = np.asarray(rows)
-    for strategy in WeightStrategy:
-        _, g = losses.weighted_entropy_loss(z, strategy, h_thr=0.5)
+    for name in losses.WEIGHTINGS:
+        _, g = weighted(z, name, h_thr=0.5)
         assert np.allclose(g.sum(axis=1), 0.0, atol=1e-10)

@@ -11,7 +11,6 @@ from conftest import make_random_model
 from stamp_tta import diffnet, losses, optim
 from stamp_tta.diffnet import ForwardMode
 from stamp_tta.errors import ConfigError, NumericalError
-from stamp_tta.optim import SamConfig, ScheduleState
 
 
 class TestCosineSchedule:
@@ -24,28 +23,22 @@ class TestCosineSchedule:
             2 * horizon: 0.0,
         }
         for t, want in expected.items():
-            sched = ScheduleState(base_lr=base, horizon=horizon, step_count=t)
-            assert abs(optim.cosine_lr(sched) - want) < 1e-15
+            assert abs(optim.cosine_lr(base, horizon, t) - want) < 1e-15
 
     def test_clamped_beyond_horizon(self):
-        sched = ScheduleState(base_lr=1.0, horizon=10, step_count=11)
-        assert optim.cosine_lr(sched) == 0.0
+        assert optim.cosine_lr(1.0, 10, 11) == 0.0
 
     def test_monotone_nonincreasing(self):
-        sched = ScheduleState(base_lr=0.3, horizon=37)
-        values = []
-        for t in range(80):
-            sched.step_count = t
-            values.append(optim.cosine_lr(sched))
+        values = [optim.cosine_lr(0.3, 37, t) for t in range(80)]
         assert all(a >= b - 1e-18 for a, b in zip(values, values[1:]))
 
     def test_validation(self):
         with pytest.raises(ConfigError):
-            optim.cosine_lr(ScheduleState(base_lr=0.0, horizon=10))
+            optim.cosine_lr(0.0, 10, 0)
         with pytest.raises(ConfigError):
-            optim.cosine_lr(ScheduleState(base_lr=0.1, horizon=0))
+            optim.cosine_lr(0.1, 0, 0)
         with pytest.raises(ConfigError):
-            optim.cosine_lr(ScheduleState(base_lr=0.1, horizon=10, step_count=-1))
+            optim.cosine_lr(0.1, 10, -1)
 
     @settings(max_examples=50, deadline=None)
     @given(
@@ -54,8 +47,7 @@ class TestCosineSchedule:
         t=st.integers(0, 30_000),
     )
     def test_bounded_by_base(self, base, horizon, t):
-        sched = ScheduleState(base_lr=base, horizon=horizon, step_count=t)
-        lr = optim.cosine_lr(sched)
+        lr = optim.cosine_lr(base, horizon, t)
         assert 0.0 <= lr <= base
 
 
@@ -70,9 +62,7 @@ class TestScalarSteps:
         # theta = 1, rho = 0.1, lr = 0.5: ascend to 1.1, descend with slope
         # 1.1, land exactly on 0.45
         params = [np.array([1.0])]
-        out, loss = optim.sam_step(
-            params, quadratic_grad_fn, SamConfig(rho=0.1), lr=0.5
-        )
+        out, loss = optim.sam_step(params, quadratic_grad_fn, 0.1, lr=0.5)
         assert abs(out[0][0] - 0.45) < 1e-12
         assert loss == pytest.approx(0.5)
 
@@ -84,7 +74,7 @@ class TestScalarSteps:
             return 0.0, [np.sin(v) + 0.3 * v for v in p]
 
         sgd, _ = optim.sgd_step(params, grad_fn, lr=0.07)
-        sam, _ = optim.sam_step(params, grad_fn, SamConfig(rho=0.0), lr=0.07)
+        sam, _ = optim.sam_step(params, grad_fn, 0.0, lr=0.07)
         for a, b in zip(sgd, sam, strict=True):
             assert np.array_equal(a, b)
 
@@ -96,9 +86,21 @@ class TestScalarSteps:
             return 0.0, [np.zeros(3)]
 
         params = [np.ones(3)]
-        out, _ = optim.sam_step(params, counting_grad_fn, SamConfig(rho=0.05), lr=0.5)
+        out, _ = optim.sam_step(params, counting_grad_fn, 0.05, lr=0.5)
         assert len(calls) == 1  # no second evaluation
         assert np.array_equal(out[0], params[0])
+
+        # rho 0 takes the same branch above the floor: one evaluation, the
+        # plain step
+        calls.clear()
+
+        def counting_quadratic(p):
+            calls.append(1)
+            return quadratic_grad_fn(p)
+
+        out, _ = optim.sam_step(params, counting_quadratic, 0.0, lr=0.5)
+        assert len(calls) == 1
+        assert np.array_equal(out[0], params[0] - 0.5 * params[0])
 
     def test_sam_evaluates_twice_when_gradient_nonzero(self):
         seen = []
@@ -108,7 +110,7 @@ class TestScalarSteps:
             return quadratic_grad_fn(p)
 
         params = [np.array([2.0])]
-        optim.sam_step(params, recording_grad_fn, SamConfig(rho=0.1), lr=0.1)
+        optim.sam_step(params, recording_grad_fn, 0.1, lr=0.1)
         assert len(seen) == 2
         assert seen[1][0] == pytest.approx(2.1, abs=1e-12)  # rho along unit grad
 
@@ -116,7 +118,7 @@ class TestScalarSteps:
         params = [np.array([1.0, -2.0])]
         before = params[0].copy()
         optim.sgd_step(params, quadratic_grad_fn, lr=0.3)
-        optim.sam_step(params, quadratic_grad_fn, SamConfig(rho=0.1), lr=0.3)
+        optim.sam_step(params, quadratic_grad_fn, 0.1, lr=0.3)
         assert np.array_equal(params[0], before)
 
     def test_joint_norm_across_tensors(self):
@@ -132,7 +134,7 @@ class TestScalarSteps:
             return grad_fn(p)
 
         params = [np.array([0.0]), np.array([0.0])]
-        optim.sam_step(params, recording, SamConfig(rho=1.0), lr=0.0)
+        optim.sam_step(params, recording, 1.0, lr=0.0)
         a, b = seen[1]
         assert a[0] == pytest.approx(0.6, abs=1e-12)
         assert b[0] == pytest.approx(0.8, abs=1e-12)
@@ -148,9 +150,7 @@ class TestScalarSteps:
 
     def test_rho_validation(self):
         with pytest.raises(ConfigError):
-            optim.sam_step(
-                [np.ones(1)], quadratic_grad_fn, SamConfig(rho=-0.1), lr=0.1
-            )
+            optim.sam_step([np.ones(1)], quadratic_grad_fn, -0.1, lr=0.1)
 
 
 class TestModelUpdates:
@@ -164,9 +164,7 @@ class TestModelUpdates:
         m1, x = self._setup(31)
         m2 = diffnet.snapshot_source(m1)
         optim.sgd_update(m1, x, ForwardMode.BATCH_STATS, loss_fn, lr=0.05)
-        optim.sam_update(
-            m2, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.0), lr=0.05
-        )
+        optim.sam_update(m2, x, ForwardMode.BATCH_STATS, loss_fn, 0.0, lr=0.05)
         for k, (p1, p2) in enumerate(zip(diffnet.params(m1), diffnet.params(m2))):
             assert np.array_equal(p1, p2), k
 
@@ -177,9 +175,7 @@ class TestModelUpdates:
             a.copy() for layer in model.layers for a in (layer.weight, layer.bias)
         ]
         adaptable_before = [p.copy() for p in diffnet.params(model)]
-        optim.sam_update(
-            model, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.05), lr=0.1
-        )
+        optim.sam_update(model, x, ForwardMode.BATCH_STATS, loss_fn, 0.05, lr=0.1)
         frozen_after = [a for layer in model.layers for a in (layer.weight, layer.bias)]
         for k, (before, after) in enumerate(zip(frozen_before, frozen_after)):
             assert np.array_equal(before, after), k
@@ -194,9 +190,7 @@ class TestModelUpdates:
         model, x = self._setup(35)
         live = diffnet.params(model)
         before = [p.copy() for p in live]
-        optim.sam_update(
-            model, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.05), lr=0.1
-        )
+        optim.sam_update(model, x, ForwardMode.BATCH_STATS, loss_fn, 0.05, lr=0.1)
         after = diffnet.params(model)
         assert all(a is b for a, b in zip(after, live))
         assert any(not np.array_equal(a, b) for a, b in zip(after, before))
@@ -217,8 +211,7 @@ class TestModelUpdates:
         m1, x = self._setup(34)
         m2 = diffnet.snapshot_source(m1)
         optim.sam_update(
-            m1, x, ForwardMode.BATCH_STATS, loss_fn, SamConfig(rho=0.05),
-            lr=0.1, update_stats=True,
+            m1, x, ForwardMode.BATCH_STATS, loss_fn, 0.05, lr=0.1, update_stats=True
         )
         diffnet.forward(m2, x, ForwardMode.BATCH_STATS, update_stats=True)
         for l1, l2 in zip(m1.layers[:-1], m2.layers[:-1]):
