@@ -16,7 +16,8 @@ The committed configs/benchmark.json holds the cell chosen from this sweep's
 5-seed table after also weighing the removal-arm and ratio margins that
 scripts/run_benchmark.py reports; rerun both to reproduce the choice.
 Baselines always run at library defaults, so the sweep tunes only the stamp
-arm.
+arm. Every cell's seed means come from benchmark.seed_means, the protocol's
+own, each cell with a fresh run memo.
 """
 
 import argparse
@@ -36,19 +37,6 @@ H_THR_GRID = (0.4, 0.6, 0.8)
 AUG_GRID = (2.0, 3.0, 3.5)
 
 
-def seed_means(cfg, model, seeds):
-    rows = []
-    for seed in seeds:
-        _, summary = engine.run_experiment(
-            dataclasses.replace(cfg, seed=seed), model=model
-        )
-        m = summary["metrics"]
-        rows.append((m["acc"], m["auc"], m["h_score"]))
-    n = float(len(rows))
-    acc, auc, h = (sum(col) / n for col in zip(*rows))
-    return acc, auc, h
-
-
 def scan_model_seeds(cfg, count, seeds):
     print("model_seed  val_acc   source_acc  stamp_acc  stamp_auc  stamp_h")
     for ms in range(count):
@@ -56,11 +44,11 @@ def scan_model_seeds(cfg, count, seeds):
         cand = dataclasses.replace(cfg, model=model_cfg)
         model, val_acc = engine.pretrain_source(cand)
         src = dataclasses.replace(cand, method=MethodConfig(name="source"))
-        s_acc, _, _ = seed_means(src, model, seeds)
-        a_acc, a_auc, a_h = seed_means(cand, model, seeds)
+        s_acc = benchmark.seed_means({}, src, model, seeds)["acc"]
+        a = benchmark.seed_means({}, cand, model, seeds)
         print(
             "%9d  %.4f    %.4f      %.4f     %.4f     %.4f"
-            % (ms, val_acc, s_acc, a_acc, a_auc, a_h)
+            % (ms, val_acc, s_acc, a["acc"], a["auc"], a["h_score"])
         )
 
 
@@ -73,9 +61,9 @@ def grid(cfg, seeds):
     baseline_h = {}
     for name in ("source", "bn_stats", "tent"):
         arm = dataclasses.replace(cfg, method=MethodConfig(name=name))
-        acc, auc, h = seed_means(arm, model, seeds)
-        baseline_h[name] = h
-        print("  %-8s acc=%.4f auc=%.4f h=%.4f" % (name, acc, auc, h))
+        m = benchmark.seed_means({}, arm, model, seeds)
+        baseline_h[name] = m["h_score"]
+        print("  %-8s acc=%.4f auc=%.4f h=%.4f" % (name, m["acc"], m["auc"], m["h_score"]))
     best_h = max(baseline_h.values())
 
     print("\nbase_lr  h_thr_factor  aug_strength   acc     auc     h      h_margin")
@@ -84,7 +72,8 @@ def grid(cfg, seeds):
         method = dataclasses.replace(
             cfg.method, base_lr=lr, h_thr_factor=hf, aug_strength=aug
         )
-        acc, auc, h = seed_means(dataclasses.replace(cfg, method=method), model, seeds)
+        m = benchmark.seed_means({}, dataclasses.replace(cfg, method=method), model, seeds)
+        acc, auc, h = m["acc"], m["auc"], m["h_score"]
         rows.append((h, lr, hf, aug, acc, auc))
         print(
             "%7.2f  %12.2f  %12.2f   %.4f  %.4f  %.4f  %+.4f"

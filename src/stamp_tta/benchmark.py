@@ -5,11 +5,11 @@ This module is the one registry of experiment arms: the protocol, the
 all read the tables below. An ablation arm is a name mapped to MethodConfig
 overrides applied on top of the configured method section.
 
-One pretrained checkpoint is shared by every arm. Baselines run at library
-defaults (only the method name differs); the tuned method section of the
-benchmark config applies to the stamp arm and its ablation variants. Every
-run is deterministic, so repeated invocations reproduce the frozen numbers
-exactly on the same platform.
+One source model, which the caller supplies, is shared by every arm.
+Baselines run at library defaults (only the method name differs); the tuned
+method section of the benchmark config applies to the stamp arm and its
+ablation variants. Every run is deterministic, so repeated invocations
+reproduce the frozen numbers exactly on the same platform.
 """
 
 from __future__ import annotations
@@ -100,9 +100,16 @@ def protocol_arms(cfg):
     for name, overrides in REMOVAL_ARMS.items():
         method = dataclasses.replace(cfg.method, **overrides)
         yield "removals", name, dataclasses.replace(cfg, method=method)
+    for ratio, arm_cfg in ratio_arms(cfg):
+        yield "ratios", "%.2f" % ratio, arm_cfg
+
+
+def ratio_arms(cfg):
+    """Yield (ratio, cfg with data.outlier_ratio = ratio) over RATIO_GRID, in order;
+    the protocol's ratios section and `stamp-tta sweep-ratio` both run these."""
     for ratio in RATIO_GRID:
         data = dataclasses.replace(cfg.data, outlier_ratio=ratio)
-        yield "ratios", "%.2f" % ratio, dataclasses.replace(cfg, data=data)
+        yield ratio, dataclasses.replace(cfg, data=data)
 
 
 def run_once(memo, cfg, model):
@@ -120,7 +127,8 @@ def run_once(memo, cfg, model):
     return memo[key]
 
 
-def _mean_metrics(memo, cfg, model, seeds):
+def seed_means(memo, cfg, model, seeds):
+    """Mean acc, auc and h_score of cfg's runs over seeds, each run through run_once."""
     rows = []
     for seed in seeds:
         m = run_once(memo, dataclasses.replace(cfg, seed=seed), model)["metrics"]
@@ -129,20 +137,17 @@ def _mean_metrics(memo, cfg, model, seeds):
     return {"acc": float(acc), "auc": float(auc), "h_score": float(h)}
 
 
-def run_protocol(cfg, model=None, seeds=STREAM_SEEDS):
+def run_protocol(cfg, model, seeds=STREAM_SEEDS):
     """Run every protocol_arms entry on every seed; return the nested result dict.
 
-    Identical runs happen once per call: ratios/0.20 is the configured
-    method, the same config as methods/stamp, so with the default config
-    each seed takes 12 runs for 13 arms (see run_once).
+    Every arm adapts from model. Identical runs happen once per call:
+    ratios/0.20 is the configured method, the same config as methods/stamp,
+    so with the default config each seed takes 12 runs for 13 arms.
     """
-    if model is None:
-        model, _ = engine.pretrain_source(cfg)
-
     memo = {}
     result = {"methods": {}, "removals": {}, "ratios": {}}
     for section, key, arm_cfg in protocol_arms(cfg):
-        result[section][key] = _mean_metrics(memo, arm_cfg, model, seeds)
+        result[section][key] = seed_means(memo, arm_cfg, model, seeds)
     methods, removals, ratios = result["methods"], result["removals"], result["ratios"]
 
     ratio_h = [ratios[k]["h_score"] for k in sorted(ratios)]
@@ -179,19 +184,20 @@ def load_golden(path=None):
 
 
 def compare_to_golden(results, golden):
-    """Yield (path, got, want) triples exceeding the golden tolerance."""
+    """Return a list of (path, got, want) for every golden value that results
+    miss by more than the golden tolerance or lack (got None)."""
     tol = golden["tolerance"]
+    drift = []
 
     def walk(got, want, trail):
         if isinstance(want, dict):
             for key, sub in want.items():
                 if key in ("tolerance", "seeds"):
                     continue
-                walk(got.get(key, {}), sub, trail + (key,))
+                walk((got or {}).get(key), sub, trail + (key,))
         elif isinstance(want, float):
             if got is None or abs(got - want) > tol:
-                yield_list.append((".".join(trail), got, want))
+                drift.append((".".join(trail), got, want))
 
-    yield_list = []
     walk(results, golden, ())
-    return yield_list
+    return drift

@@ -6,14 +6,13 @@ directory: summary.json (sorted keys), records.csv (features, label and
 outlier flag per stream sample, extended with pred and ood_score columns),
 roc.csv, and for the grid commands one summary per arm plus a combined
 comparison table. The grid commands run the arms that benchmark.py
-registers: ablation_arms for ablate and RATIO_GRID for sweep-ratio. Repeat
+registers: ablation_arms for ablate and ratio_arms for sweep-ratio. Repeat
 invocations with the same inputs produce byte-identical files.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import re
@@ -22,7 +21,7 @@ import sys
 
 from . import config as config_mod
 from . import diffnet, engine, metrics
-from .benchmark import RATIO_GRID, ablation_arms, run_once
+from .benchmark import ablation_arms, ratio_arms, run_once
 from .errors import ConfigError, NumericalError, ParseError
 
 _OVERRIDE_RE = re.compile(r"^--([A-Za-z_][A-Za-z0-9_]*(?:\.[A-Za-z0-9_]+)?=.*)$")
@@ -95,12 +94,22 @@ def write_comparison(path, rows, extra=None):
 
 
 def _shared_model(cfg):
-    """Load the configured checkpoint, or pretrain once for this invocation."""
-    if cfg.model.checkpoint:
-        if not os.path.exists(cfg.model.checkpoint):
-            raise ConfigError(f"checkpoint not found: {cfg.model.checkpoint}")
-        return diffnet.load_model(cfg.model.checkpoint)
-    model, _ = engine.pretrain_source(cfg)
+    """Pretrain once for this invocation, or load the configured checkpoint:
+    the one checkpoint resolver, which rejects one that mismatches the config."""
+    path = cfg.model.checkpoint
+    if not path:
+        model, _ = engine.pretrain_source(cfg)
+        return model
+    if not os.path.exists(path):
+        raise ConfigError(f"checkpoint not found: {path}")
+    model = diffnet.load_model(path)
+    for key, have, want in (
+        ("data.input_dim", model.input_dim, cfg.data.input_dim),
+        ("data.num_classes", model.num_classes, cfg.data.num_classes),
+        ("model.hidden_sizes", model.hidden_sizes, cfg.model.hidden_sizes),
+    ):
+        if have != want:
+            raise ConfigError(f"checkpoint {path} has {key} {have}, the config has {want}")
     return model
 
 
@@ -184,10 +193,9 @@ def cmd_ablate(cfg):
 
 def cmd_sweep_ratio(cfg):
     variants, extra = [], {}
-    for ratio in RATIO_GRID:
+    for ratio, arm_cfg in ratio_arms(cfg):
         name = "ratio_%02d" % int(round(100 * ratio))
-        data = dataclasses.replace(cfg.data, outlier_ratio=ratio)
-        variants.append((name, dataclasses.replace(cfg, data=data)))
+        variants.append((name, arm_cfg))
         extra[name] = [("outlier_ratio", "%.2f" % ratio)]
     return _run_grid(cfg, variants, "ratio_sweep.csv", extra)
 

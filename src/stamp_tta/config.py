@@ -31,7 +31,7 @@ def _check_finite(section, cfg):
     """Reject NaN and +-inf in every float field, which range checks let through."""
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(f.default, float) and not math.isfinite(value):
+        if f.type == "float" and not math.isfinite(value):
             raise ConfigError(f"{section}.{f.name} must be finite, got {value}")
 
 
@@ -213,38 +213,34 @@ _SECTIONS = {
     "output": OutputConfig,
 }
 
-_LIST_FIELDS = {("model", "hidden_sizes"), ("output", "formats")}
+
+# field annotation -> (accepted types, what the error says a value must be)
+_PLAIN_KINDS = {
+    "bool": (bool, "a boolean"),
+    "str": (str, "a string"),
+    "str | None": ((str, type(None)), "a string or null"),
+    "tuple": ((list, tuple), "a list"),
+}
 
 
-def _coerce(section, name, default, value):
-    if (section, name) in _LIST_FIELDS:
-        if not isinstance(value, (list, tuple)):
-            raise ConfigError(f"{section}.{name} must be a list")
-        return tuple(value)
-    if default is None:
-        # model.checkpoint, the one optional field: a path or null
-        if value is None or isinstance(value, str):
-            return value
-        raise ConfigError(f"{section}.{name} must be a string or null")
-    if isinstance(default, bool):
-        if isinstance(value, bool):
-            return value
-        raise ConfigError(f"{section}.{name} must be a boolean")
-    if isinstance(default, int) and not isinstance(default, bool):
-        if isinstance(value, bool) or (isinstance(value, float) and value != int(value)):
-            raise ConfigError(f"{section}.{name} must be an integer")
-        if not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{name} must be an integer")
+def _coerce(section, f, value):
+    """value as field f's type. Under `from __future__ import annotations`
+    f.type is the annotation's text: "int", "float" or a _PLAIN_KINDS key."""
+    key = f"{section}.{f.name}"
+    if f.type == "int":
+        # NaN and +-inf are floats that are not integers, so int() never sees them
+        whole = isinstance(value, int) or (isinstance(value, float) and value.is_integer())
+        if isinstance(value, bool) or not whole:
+            raise ConfigError(f"{key} must be an integer")
         return int(value)
-    if isinstance(default, float):
+    if f.type == "float":
         if isinstance(value, bool) or not isinstance(value, (int, float)):
-            raise ConfigError(f"{section}.{name} must be a number")
+            raise ConfigError(f"{key} must be a number")
         return float(value)
-    if isinstance(default, str):
-        if not isinstance(value, str):
-            raise ConfigError(f"{section}.{name} must be a string")
-        return value
-    return value
+    types, what = _PLAIN_KINDS[f.type]
+    if not isinstance(value, types):
+        raise ConfigError(f"{key} must be {what}")
+    return tuple(value) if f.type == "tuple" else value
 
 
 def config_from_dict(raw):
@@ -268,10 +264,7 @@ def config_from_dict(raw):
         for name, value in payload.items():
             if name not in valid:
                 raise ConfigError(f"unknown config key {section}.{name}")
-            default = valid[name].default
-            if default is dataclasses.MISSING:
-                default = valid[name].default_factory()
-            kwargs[name] = _coerce(section, name, default, value)
+            kwargs[name] = _coerce(section, valid[name], value)
         sections[section] = cls(**kwargs)
     seed = raw.get("seed", 0)
     if isinstance(seed, bool) or not isinstance(seed, int):

@@ -17,12 +17,15 @@ byte-identical to forward_cached's.
 Parameters are addressed by position: params(model, wrt) lists the model's
 own arrays in one fixed order, and backward and grad return gradient lists
 in that same order. Updates write into those arrays in place (set_params).
+_slots is the one place that names and orders the arrays: params, grad's
+error messages, save_model and load_model all read it.
 """
 
 from __future__ import annotations
 
 import copy
 import json
+import zipfile
 from dataclasses import dataclass, field
 from enum import Enum
 
@@ -221,15 +224,20 @@ def forward(model, inputs, mode, update_stats=False, scratch=None):
     return losses.softmax(logits)
 
 
-def _param_names(model, wrt):
-    """Dotted names of params(model, wrt), in the same order; for error messages."""
-    names = []
+def _slots(model, which):
+    """Yield (dotted name, owner, attribute) per array, layer by layer: weight,
+    bias, gamma, beta, running_mean, running_var. "adaptable" keeps gamma and
+    beta, "all" adds weight and bias, "checkpoint" adds the running stats."""
+    bn_attrs = ("gamma", "beta")
+    if which == "checkpoint":
+        bn_attrs += ("running_mean", "running_var")
     for i, layer in enumerate(model.layers):
-        if wrt == "all":
-            names += [f"layers.{i}.weight", f"layers.{i}.bias"]
+        if which != "adaptable":
+            yield f"layers.{i}.weight", layer, "weight"
+            yield f"layers.{i}.bias", layer, "bias"
         if layer.bn is not None:
-            names += [f"layers.{i}.bn.gamma", f"layers.{i}.bn.beta"]
-    return names
+            for attr in bn_attrs:
+                yield f"layers.{i}.bn.{attr}", layer.bn, attr
 
 
 def params(model, wrt="adaptable"):
@@ -242,12 +250,7 @@ def params(model, wrt="adaptable"):
     """
     if wrt not in ("adaptable", "all"):
         raise ValueError("wrt must be 'adaptable' or 'all'")
-    out = []
-    for layer in model.layers:
-        if wrt == "all":
-            out += [layer.weight, layer.bias]
-        if layer.bn is not None:
-            out += [layer.bn.gamma, layer.bn.beta]
+    out = [getattr(owner, attr) for _, owner, attr in _slots(model, wrt)]
     if wrt == "adaptable" and not out:
         raise ConfigError("model has no batch norm layers to adapt")
     return out
@@ -325,7 +328,7 @@ def grad(model, inputs, mode, logit_loss, wrt="adaptable", update_stats=False):
     grads = backward(model, cache, dlogits, wrt=wrt)
     for k, g in enumerate(grads):
         if not np.all(np.isfinite(g)):
-            name = _param_names(model, wrt)[k]
+            name = list(_slots(model, wrt))[k][0]
             raise NumericalError(f"non-finite gradient for {name}")
     return value, grads
 
@@ -387,20 +390,17 @@ def save_model(model, path):
         "momentum": [l.bn.momentum for l in model.layers if l.bn is not None],
     }
     arrays = {"meta": np.frombuffer(json.dumps(meta).encode(), dtype=np.uint8)}
-    for i, layer in enumerate(model.layers):
-        arrays[f"layers.{i}.weight"] = layer.weight
-        arrays[f"layers.{i}.bias"] = layer.bias
-        if layer.bn is not None:
-            arrays[f"layers.{i}.bn.gamma"] = layer.bn.gamma
-            arrays[f"layers.{i}.bn.beta"] = layer.bn.beta
-            arrays[f"layers.{i}.bn.running_mean"] = layer.bn.running_mean
-            arrays[f"layers.{i}.bn.running_var"] = layer.bn.running_var
+    for name, owner, attr in _slots(model, "checkpoint"):
+        arrays[name] = getattr(owner, attr)
     with open(path, "wb") as fh:
         np.savez(fh, **arrays)
 
 
 def load_model(path):
-    """Rebuild a model from save_model output, bit-exact."""
+    """Rebuild a model from save_model output, bit-exact; ConfigError names the
+    path of a file that is not an npz archive or lacks the metadata or an array."""
+    if not zipfile.is_zipfile(path):
+        raise ConfigError(f"checkpoint {path} does not load: not an npz archive")
     with np.load(path) as data:
         try:
             meta = json.loads(bytes(data["meta"]).decode())
@@ -409,14 +409,11 @@ def load_model(path):
         model = init_model(
             meta["input_dim"], meta["hidden_sizes"], meta["num_classes"], seed=0
         )
-        for i, layer in enumerate(model.layers):
-            layer.weight = data[f"layers.{i}.weight"].copy()
-            layer.bias = data[f"layers.{i}.bias"].copy()
-            if layer.bn is not None:
-                layer.bn.gamma = data[f"layers.{i}.bn.gamma"].copy()
-                layer.bn.beta = data[f"layers.{i}.bn.beta"].copy()
-                layer.bn.running_mean = data[f"layers.{i}.bn.running_mean"].copy()
-                layer.bn.running_var = data[f"layers.{i}.bn.running_var"].copy()
-                layer.bn.eps = meta["eps"][i]
-                layer.bn.momentum = meta["momentum"][i]
+        for name, owner, attr in _slots(model, "checkpoint"):
+            if name not in data.files:
+                raise ConfigError(f"checkpoint {path} is missing array {name}")
+            setattr(owner, attr, data[name].copy())
+        for i, layer in enumerate(model.layers[:-1]):
+            layer.bn.eps = meta["eps"][i]
+            layer.bn.momentum = meta["momentum"][i]
     return model

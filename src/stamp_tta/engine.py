@@ -248,21 +248,16 @@ def _adapt(state, stream):
     return preds, scores
 
 
-def run_experiment(cfg: ExperimentConfig, model=None):
+def run_experiment(cfg: ExperimentConfig, model):
     """Run one method over one stream; returns ((preds, scores), summary dict).
 
-    preds and scores are per-sample arrays in stream order. The model comes
-    from, in order: the argument, the configured checkpoint, or a fresh
-    pretraining run. Identical configs produce identical outputs and
-    summaries; the model is copied, never mutated in place. Errors inside a
-    step name their batch (see _adapt).
+    preds and scores are per-sample arrays in stream order. model is the
+    caller's source model (cli._shared_model pretrains it or loads the
+    configured checkpoint); it is copied, never mutated in place. Identical
+    configs produce identical outputs and summaries. Errors inside a step
+    name their batch (see _adapt).
     """
     cfg.validate()
-    if model is None:
-        if cfg.model.checkpoint:
-            model = diffnet.load_model(cfg.model.checkpoint)
-        else:
-            model, _ = pretrain_source(cfg)
     stream = make_stream(cfg)
     # the run's state (model copies, memory, forward buffers) is freed here,
     # before scoring allocates its own arrays

@@ -175,7 +175,7 @@ def run_calls(monkeypatch):
     calls = []
     run_experiment = engine.run_experiment
 
-    def counting(cfg, model=None):
+    def counting(cfg, model):
         calls.append(cfg)
         return run_experiment(cfg, model=model)
 

@@ -54,6 +54,13 @@ def test_ratio_020_is_the_configured_method():
     assert len(echoes) == 12
 
 
+def test_ratio_arms_are_the_protocol_ratio_section():
+    cfg = benchmark.load_benchmark_config()
+    ratios = [("%.2f" % ratio, arm) for ratio, arm in benchmark.ratio_arms(cfg)]
+    assert ratios == [(k, arm) for s, k, arm in benchmark.protocol_arms(cfg) if s == "ratios"]
+    assert [ratio for ratio, _ in benchmark.ratio_arms(cfg)] == list(benchmark.RATIO_GRID)
+
+
 def test_arm_labels_are_the_result_keys(tiny):
     cfg, model = tiny
     result = benchmark.run_protocol(cfg, model=model, seeds=SEEDS[:1])
@@ -91,3 +98,20 @@ def test_run_once_keys_on_the_config_echo(tiny, run_calls):
     assert len(run_calls) == 2
     assert other["seed"] == 1
     assert [json.loads(key) for key in memo] == [first["config"], other["config"]]
+
+
+def float_leaves(tree, trail=()):
+    for key, sub in tree.items():
+        if isinstance(sub, dict):
+            yield from float_leaves(sub, trail + (key,))
+        elif isinstance(sub, float) and key != "tolerance":
+            yield ".".join(trail + (key,))
+
+
+def test_compare_to_golden_reports_missing_values():
+    golden = benchmark.load_golden()
+    assert benchmark.compare_to_golden(golden, golden) == []
+    drift = benchmark.compare_to_golden({"methods": {}}, golden)
+    assert [path for path, _, _ in drift] == list(float_leaves(golden))
+    assert all(got is None for _, got, _ in drift)
+    assert ("methods.stamp.h_score", None, golden["methods"]["stamp"]["h_score"]) in drift

@@ -11,13 +11,14 @@ import pathlib
 import numpy as np
 import pytest
 
-from stamp_tta import benchmark, cli, engine, losses
+from stamp_tta import benchmark, cli, diffnet, engine, losses
 from stamp_tta.config import (
     WEIGHT_STRATEGIES,
     DataConfig,
     ExperimentConfig,
     MethodConfig,
     ModelConfig,
+    OutputConfig,
     config_from_dict,
     load_config,
 )
@@ -43,12 +44,26 @@ def tiny_config(tmp_path, **extra):
     return path
 
 
-FLOAT_FIELDS = [
-    (section, f.name)
-    for section, cls in (("data", DataConfig), ("model", ModelConfig), ("method", MethodConfig))
-    for f in dataclasses.fields(cls)
-    if isinstance(f.default, float)
-]
+SECTIONS = (("data", DataConfig), ("model", ModelConfig), ("method", MethodConfig))
+
+
+def fields_of_type(kind):
+    return [
+        (section, f.name)
+        for section, cls in SECTIONS
+        for f in dataclasses.fields(cls)
+        if f.type == kind
+    ]
+
+
+FLOAT_FIELDS = fields_of_type("float")
+INT_FIELDS = fields_of_type("int")
+
+
+def non_finite_message(section, key):
+    """What config_from_dict says about NaN or +-inf in a numeric field."""
+    kind = "finite" if (section, key) in FLOAT_FIELDS else "an integer"
+    return f"{section}.{key} must be {kind}"
 
 
 def read_rows(path):
@@ -267,19 +282,61 @@ class TestErrors:
         assert rc == 2
         assert "gone.npz" in capsys.readouterr().err
 
+    def _run_on_checkpoint(self, tmp_path, ckpt):
+        cfg = tiny_config(tmp_path, **{"model.checkpoint": str(ckpt)})
+        return cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o")])
+
+    @pytest.mark.parametrize(
+        "key,input_dim,hidden,classes,have",
+        [
+            ("data.input_dim", 3, (16, 16), 4, "3"),
+            ("data.num_classes", 2, (16, 16), 3, "3"),
+            ("model.hidden_sizes", 2, (32, 32), 4, "(32, 32)"),
+        ],
+        ids=["input_dim", "num_classes", "hidden_sizes"],
+    )
+    def test_mismatched_checkpoint_rejected(
+        self, tmp_path, capsys, key, input_dim, hidden, classes, have
+    ):
+        # tiny_config describes 2 inputs, hidden sizes (16, 16) and 4 classes
+        ckpt = tmp_path / "model.npz"
+        diffnet.save_model(diffnet.init_model(input_dim, hidden, classes, seed=0), ckpt)
+        assert self._run_on_checkpoint(tmp_path, ckpt) == 2
+        assert f"error: checkpoint {ckpt} has {key} {have}," in capsys.readouterr().err
+        assert not (tmp_path / "o").exists()
+
+    def test_checkpoint_missing_an_array_rejected(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        diffnet.save_model(diffnet.init_model(2, (16, 16), 4, seed=0), ckpt)
+        with np.load(ckpt) as data:
+            kept = {k: data[k] for k in data.files if k != "layers.1.bias"}
+        np.savez(ckpt, **kept)
+        assert self._run_on_checkpoint(tmp_path, ckpt) == 2
+        err = capsys.readouterr().err
+        assert f"error: checkpoint {ckpt} is missing array layers.1.bias" in err
+
+    def test_checkpoint_that_does_not_load_rejected(self, tmp_path, capsys):
+        ckpt = tmp_path / "model.npz"
+        ckpt.write_text("not an archive\n")
+        assert self._run_on_checkpoint(tmp_path, ckpt) == 2
+        assert f"error: checkpoint {ckpt} does not load" in capsys.readouterr().err
+
     @pytest.mark.parametrize(
         "override,key",
         [
             ("--method.rho=NaN", "method.rho"),
             ("--data.severity=Infinity", "data.severity"),
             ("--model.lr=-Infinity", "model.lr"),
+            ("--data.num_samples=Infinity", "data.num_samples"),
+            ("--data.num_samples=1e400", "data.num_samples"),
+            ("--data.num_samples=NaN", "data.num_samples"),
         ],
     )
     def test_non_finite_float_exits_2(self, tmp_path, capsys, override, key):
         cfg = tiny_config(tmp_path)
         rc = cli.main(["run", "--config", str(cfg), "--out", str(tmp_path / "o"), override])
         assert rc == 2
-        assert f"error: {key} must be finite" in capsys.readouterr().err
+        assert f"error: {non_finite_message(*key.split('.'))}" in capsys.readouterr().err
         assert not (tmp_path / "o").exists()
 
     def test_bad_override_value(self, tmp_path, capsys):
@@ -398,15 +455,24 @@ class TestConfigSurface:
         } <= set(FLOAT_FIELDS)
 
     @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf], ids=["nan", "inf", "-inf"])
-    @pytest.mark.parametrize("section,key", FLOAT_FIELDS)
+    @pytest.mark.parametrize("section,key", FLOAT_FIELDS + INT_FIELDS)
     def test_non_finite_float_rejected(self, section, key, value):
-        raw = {section: {key: value}}
-        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
-            config_from_dict(raw)
+        message = non_finite_message(section, key)
+        with pytest.raises(ConfigError, match=f"^{message}"):
+            config_from_dict({section: {key: value}})
+        if (section, key) in INT_FIELDS:
+            return  # an integer field holds no float once coerced
         cfg = ExperimentConfig()
         setattr(getattr(cfg, section), key, value)
-        with pytest.raises(ConfigError, match=f"^{section}.{key} must be finite"):
+        with pytest.raises(ConfigError, match=f"^{message}"):
             cfg.validate()
+
+    def test_every_annotation_is_a_kind_coerce_handles(self):
+        # a new kind (say float | None) must get its own branch in _coerce
+        kinds = {"int", "float", "bool", "str", "tuple", "str | None"}
+        for cls in (DataConfig, ModelConfig, MethodConfig, OutputConfig):
+            for f in dataclasses.fields(cls):
+                assert f.type in kinds, f"{cls.__name__}.{f.name}: {f.type}"
 
     def test_load_config_without_a_file(self, tmp_path):
         cfg = load_config(overrides=["method.rho=0.1", "seed=3"])

@@ -358,6 +358,21 @@ class TestBackward:
             diffnet.grad(m, x, ForwardMode.SOURCE_STATS, bad_loss)
         assert "layers." in str(err.value)
 
+    @pytest.mark.filterwarnings("ignore:invalid value encountered")
+    @pytest.mark.parametrize(
+        "wrt,name", [("adaptable", "layers.0.bn.gamma"), ("all", "layers.0.weight")]
+    )
+    def test_non_finite_gradient_name_follows_params_order(self, wrt, name):
+        # every gradient is non-finite, so the error names params(model, wrt)[0]
+        m = make_random_model(18)
+        x = np.random.default_rng(18).normal(size=(3, 3))
+
+        def bad_loss(logits):
+            return 0.0, np.full_like(logits, np.inf)
+
+        with pytest.raises(NumericalError, match=f"non-finite gradient for {name}$"):
+            diffnet.grad(m, x, ForwardMode.SOURCE_STATS, bad_loss, wrt=wrt)
+
 
 class TestSnapshotAndCheckpoint:
     def test_snapshot_is_independent(self):
@@ -385,6 +400,23 @@ class TestSnapshotAndCheckpoint:
             diffnet.forward(m, x, ForwardMode.SOURCE_STATS),
             diffnet.forward(loaded, x, ForwardMode.SOURCE_STATS),
         )
+
+    def test_checkpoint_key_list(self, tmp_path):
+        path = tmp_path / "model.npz"
+        diffnet.save_model(make_random_model(21), path)
+        bn = ("gamma", "beta", "running_mean", "running_var")
+        with np.load(path) as data:
+            assert data.files == [
+                "meta",
+                "layers.0.weight",
+                "layers.0.bias",
+                *(f"layers.0.bn.{a}" for a in bn),
+                "layers.1.weight",
+                "layers.1.bias",
+                *(f"layers.1.bn.{a}" for a in bn),
+                "layers.2.weight",
+                "layers.2.bias",
+            ]
 
     def test_load_rejects_file_without_metadata(self, tmp_path):
         path = tmp_path / "bad.npz"
